@@ -178,7 +178,8 @@ def _cmd_bf(args):
 def _resolve_table(path_arg):
     path = path_arg or os.environ.get("KNOTLAB_TABLE")
     if path:
-        return load_table(open(path, encoding="utf-8")), path
+        with open(path, encoding="utf-8") as f:
+            return load_table(f), path
     return bundled_table(), "bundled"
 
 

@@ -52,6 +52,10 @@ class Crossing:
 class PlanarDiagram:
     crossings: tuple
 
+    def __post_init__(self):
+        # the resolve cache hashes diagrams, so a list of crossings must not stay a list
+        object.__setattr__(self, "crossings", tuple(self.crossings))
+
     def __len__(self):
         return len(self.crossings)
 

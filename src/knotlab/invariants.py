@@ -169,11 +169,10 @@ def _goeritz_determinant(pd, color="white"):
     return abs(det_int(reduced))
 
 
-def determinant(pd):
-    """Knot determinant, cross-checked between two independent routes."""
-    _require_knot(pd)
-    from_alexander = abs(alexander(pd).evaluate(-1))
-    from_goeritz = _goeritz_determinant(pd)
+def _cross_checked_determinant(delta, reduced):
+    """|delta(-1)| and |det(reduced Goeritz form)|, which must agree."""
+    from_alexander = abs(delta.evaluate(-1))
+    from_goeritz = abs(det_int(reduced))
     if from_alexander != from_goeritz:
         raise InconsistencyError(
             f"determinant mismatch: |Alexander(-1)| = {from_alexander}, "
@@ -182,25 +181,33 @@ def determinant(pd):
     return from_alexander
 
 
-def genus_lower_bound(pd):
-    span = alexander(pd).span
-    if span % 2:
+def determinant(pd):
+    """Knot determinant, cross-checked between two independent routes."""
+    _require_knot(pd)
+    return _cross_checked_determinant(alexander(pd), _goeritz(pd, "white")[0])
+
+
+def _half_span(delta):
+    if delta.span % 2:
         raise InconsistencyError("Alexander span of a knot is odd")
-    return span // 2
+    return delta.span // 2
+
+
+def genus_lower_bound(pd):
+    return _half_span(alexander(pd))
 
 
 def invariant_tuple(pd):
+    """All four invariants from one Alexander polynomial and one Goeritz form."""
     delta = alexander(pd)
     at_one = delta.evaluate(1)
     if at_one not in (1, -1):
         raise InconsistencyError(f"Alexander(1) = {at_one}, expected +-1")
     if not delta.is_palindromic():
         raise InconsistencyError(f"Alexander polynomial not palindromic: {delta}")
-    det = determinant(pd)
-    sig = signature(pd)
+    reduced, mu = _goeritz(pd, "white")
+    det = _cross_checked_determinant(delta, reduced)
+    sig = symmetric_signature(reduced) - mu
     if sig % 2:
         raise InconsistencyError(f"odd knot signature {sig}")
-    span = delta.span
-    if span % 2:
-        raise InconsistencyError("Alexander span of a knot is odd")
-    return InvariantTuple(delta, det, sig, span // 2)
+    return InvariantTuple(delta, det, sig, _half_span(delta))

@@ -137,8 +137,11 @@ def load_table(source):
     else:
         text = str(source)
         if "\n" not in text and not text.lstrip().startswith("name "):
-            with open(text, encoding="utf-8") as f:
-                text = f.read()
+            try:
+                with open(text, encoding="utf-8") as f:
+                    text = f.read()
+            except OSError as e:
+                raise TableError(f"cannot read table {text!r}: {e.strerror or e}") from e
     records = parse_table(text)
     for rec in records:
         _revalidate(rec)

@@ -1,8 +1,8 @@
 """Integer Laurent polynomials in one variable t, with exact linear algebra.
 
 Everything in here is exact: coefficients are Python ints, division only
-happens where it is known to be exact (Bareiss pivots, Lagrange denominators
-that must cancel).  No floating point.
+happens where it is known to be exact (inverting unit pivots +-t^k, Bareiss
+pivots).  No floating point.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def det_laurent_bareiss(rows):
     """Determinant of a square LaurentPoly matrix by fraction-free Bareiss.
 
     All intermediate divisions are exact over Z[t, 1/t].  Cubic in the size
-    with polynomial entries, so this is the reference implementation; prefer
-    det_laurent for larger matrices.
+    with polynomial entries: det_laurent hands it only the block that unit
+    pivots cannot reach, and the tests use it whole as the reference.
     """
     n = len(rows)
     if n == 0:
@@ -284,65 +284,85 @@ def det_laurent_bareiss(rows):
     return -d if sign < 0 else d
 
 
+def _is_unit(p):
+    """True for +-t^k, the units of Z[t, 1/t]."""
+    return len(p.coeffs) == 1 and p.coeffs[0] in (1, -1)
+
+
 def det_laurent(rows):
     """Determinant of a square LaurentPoly matrix, exact.
 
-    Factors t^k out of each row, evaluates the remaining integer-polynomial
-    matrix at enough integer points, runs integer Bareiss per point and
-    Lagrange-interpolates back.  Equivalent to det_laurent_bareiss (tested),
-    much faster for the matrix sizes the Alexander computation produces.
+    Sparse elimination on unit pivots +-t^k, whose inverses are exact, chosen
+    by the Markowitz least-fill rule; every Wirtinger Fox row has such entries.
+    When no unit is left, the residual block goes to det_laurent_bareiss.
+    Once a pivot's column is cleared, Laplace expansion along it gives the
+    pivot times its cofactor, so the determinant is the product of the
+    pivots, their cofactor signs, and the residual determinant.
     """
     n = len(rows)
-    if n == 0:
-        return ONE
-    shift = 0
-    polys = []
-    degbound = 0
-    for r in rows:
-        r = [e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in r]
-        if all(e.is_zero() for e in r):
+    live = []  # row index -> {column: nonzero entry}, None once pivoted
+    cols = [set() for _ in range(n)]  # column -> live rows with an entry there
+    for i, r in enumerate(rows):
+        row = {}
+        for j, e in enumerate(r):
+            if not isinstance(e, LaurentPoly):
+                e = LaurentPoly.const(e)
+            if e.coeffs:
+                row[j] = e
+                cols[j].add(i)
+        if not row:
             return LaurentPoly()
-        lo = min(e.min_exp for e in r if not e.is_zero())
-        shift += lo
-        r = [e.shifted(-lo) for e in r]
-        degbound += max(e.max_exp for e in r if not e.is_zero())
-        polys.append(r)
-    npts = degbound + 1
-    xs = []
-    x = 0
-    while len(xs) < npts:
-        xs.append(x)
-        x = -x if x > 0 else -x + 1
-    vals = []
-    for x in xs:
-        m = [[int(e.evaluate(x)) for e in r] for r in polys]
-        vals.append(det_int(m))
-    # Lagrange interpolation over Q; the result is integral by construction.
-    coeffs = [Fraction(0)] * npts
-    for xi, yi in zip(xs, vals):
-        if yi == 0:
-            continue
-        # numerator polynomial prod_{j != i} (t - xj), denominator prod (xi - xj)
-        num = [Fraction(1)]
-        den = 1
-        for xj in xs:
-            if xj == xi:
+        live.append(row)
+    pivoted = set()
+    sign, shift = 1, 0
+    while True:
+        best = None
+        for i, row in enumerate(live):
+            if row is None:
                 continue
-            den *= xi - xj
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] -= c * xj
-                new[k + 1] += c
-            num = new
-        scale = Fraction(yi, den)
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated determinant is not integral")
-        out.append(int(c))
-    return LaurentPoly(out, shift)
+            for j, e in row.items():
+                if _is_unit(e):
+                    cost = (len(row) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and not best[0]:
+                break  # nothing beats a pivot without fill-in
+        if best is None:
+            break
+        _, i, j = best
+        # cofactor sign from the pivot's position among the rows and columns left
+        if (sum(r is not None for r in live[:i]) + sum(c not in pivoted for c in range(j))) % 2:
+            sign = -sign
+        pivoted.add(j)
+        prow = live[i]
+        live[i] = None
+        for c in prow:
+            cols[c].discard(i)
+        unit = prow.pop(j)
+        sign *= unit.coeffs[0]
+        shift += unit.offset
+        for k in cols[j]:
+            row = live[k]
+            # row -= (row[j] / unit) * prow, which clears column j
+            f = row.pop(j).shifted(-unit.offset)
+            if unit.coeffs[0] < 0:
+                f = -f
+            for c, e in prow.items():
+                v = row.get(c)
+                v = -(f * e) if v is None else v - f * e
+                if v.coeffs:
+                    row[c] = v
+                    cols[c].add(k)
+                else:
+                    row.pop(c, None)
+                    cols[c].discard(k)
+            if not row:
+                return LaurentPoly()
+    rest_cols = [j for j in range(n) if j not in pivoted]
+    zero = LaurentPoly()
+    residual = [[row.get(j, zero) for j in rest_cols] for row in live if row is not None]
+    d = det_laurent_bareiss(residual).shifted(shift)
+    return -d if sign < 0 else d
 
 
 def symmetric_signature(rows):

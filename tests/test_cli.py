@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour via direct main() calls."""
 
+import gc
 import io
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -171,6 +173,20 @@ def test_identify_table_sources(capsys, monkeypatch, tmp_path, trefoil_file):
     monkeypatch.delenv("KNOTLAB_TABLE")
     rc, out = run(capsys, ["identify", trefoil_file])
     assert "table bundled" in out
+
+
+def test_identify_table_file_is_closed(capsys, monkeypatch, tmp_path, trefoil_file):
+    table = tmp_path / "small.table"
+    table.write_text(serialize_table(bundled_table()[:1]), encoding="utf-8")
+    # a leaked file warns from its finalizer, which reports through the unraisable hook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        rc, out = run(capsys, ["identify", "--table", str(table), trefoil_file])
+        gc.collect()
+    assert rc == 0 and "match 3_1 same" in out
+    assert not unraisable, [u.exc_value for u in unraisable]
 
 
 def test_domain_errors_exit_1(capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from knotlab.diagram import (
     ParseError,
+    PlanarDiagram,
     checkerboard,
     component_count,
     crossing_signs,
@@ -16,6 +17,7 @@ from knotlab.diagram import (
     validate,
     writhe,
 )
+from knotlab.invariants import invariant_tuple
 
 TREFOIL = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3"
 KINK = "X 1,2,2,1"
@@ -30,6 +32,14 @@ def test_parse_serialize_round_trip():
         pd = parse_pd(text)
         assert serialize_pd(pd) == text + "\n"
         assert parse_pd(serialize_pd(pd)) == pd
+
+
+def test_diagram_built_from_a_list_is_a_tuple_diagram():
+    pd = parse_pd(TREFOIL)
+    from_list = PlanarDiagram(list(pd.crossings))
+    assert from_list == pd and hash(from_list) == hash(pd)
+    assert validate(from_list).ok
+    assert invariant_tuple(from_list) == invariant_tuple(pd)
 
 
 def test_parse_accepts_comment_and_spacing_noise():

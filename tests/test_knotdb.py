@@ -72,6 +72,13 @@ def test_load_table_from_path(tmp_path):
     assert load_table(str(path)) == bundled_table()
 
 
+def test_load_table_unreadable_path_is_a_table_error(tmp_path):
+    for source in ("garbage", str(tmp_path / "missing.table"), str(tmp_path)):
+        with pytest.raises(TableError) as err:
+            load_table(source)
+        assert repr(source) in str(err.value)
+
+
 def test_parse_table_empty():
     assert parse_table("") == ()
     assert parse_table("# only comments\n\n") == ()

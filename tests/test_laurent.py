@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotlab import laurent
+from knotlab.diagram import parse_pd
+from knotlab.invariants import alexander_matrix
+from knotlab.moves import reidemeister_perturb
 from knotlab.laurent import (
     LaurentPoly,
     det_int,
@@ -112,13 +116,60 @@ def _rand_laurent_matrix(rng, n):
     return [[entry() for _ in range(n)] for _ in range(n)]
 
 
-def test_det_laurent_matches_bareiss_reference():
-    """The interpolation backend and fraction-free elimination must agree."""
+def _unit_rich_entry(rng):
+    """Zero, a unit +-t^k, or a general polynomial, in roughly 3:4:3 proportion."""
+    r = rng.random()
+    if r < 0.3:
+        return LaurentPoly()
+    if r < 0.7:
+        return LaurentPoly.t_power(rng.randint(-3, 3), rng.choice((1, -1)))
+    return LaurentPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))], rng.randint(-2, 2))
+
+
+def _even_entry(rng):
+    """A polynomial with even coefficients (maybe zero), which no elimination makes a unit."""
+    return LaurentPoly([2 * rng.randint(-2, 2) for _ in range(rng.randint(1, 3))], rng.randint(-2, 2))
+
+
+def _permuted_block_matrix(rng, k, m):
+    """[[U, X], [0, Y]] with unit-rich U and even X, Y, rows and columns shuffled.
+
+    Every pivot lands in U and no pivot column meets the Y rows, so the
+    Bareiss residual holds at least the m x m block Y.
+    """
+    n = k + m
+    rows = [[_unit_rich_entry(rng) for _ in range(k)] + [_even_entry(rng) for _ in range(m)]
+            for _ in range(k)]
+    rows += [[LaurentPoly()] * k + [_even_entry(rng) for _ in range(m)] for _ in range(m)]
+    row_order = rng.sample(range(n), n)
+    col_order = rng.sample(range(n), n)
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
+def test_det_laurent_matches_bareiss_reference(monkeypatch):
+    """Unit-pivot elimination and plain fraction-free Bareiss must agree."""
+    residuals = []
+
+    def recording_bareiss(rows):
+        residuals.append(len(rows))
+        return det_laurent_bareiss(rows)
+
+    monkeypatch.setattr(laurent, "det_laurent_bareiss", recording_bareiss)
     rng = random.Random(11)
-    for trial in range(40):
-        n = rng.randint(1, 5)
-        rows = _rand_laurent_matrix(rng, n)
-        assert det_laurent(rows) == det_laurent_bareiss(rows), (trial, n)
+    cases = [_rand_laurent_matrix(rng, rng.randint(1, 5)) for _ in range(40)]
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cases.append([[_unit_rich_entry(rng) for _ in range(n)] for _ in range(n)])
+    for _ in range(60):
+        cases.append(_permuted_block_matrix(rng, rng.randint(1, 5), rng.randint(1, 3)))
+    pd = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
+    for seed in range(4):
+        fox = alexander_matrix(reidemeister_perturb(pd, moves=8, seed=seed))
+        cases.append([row[1:] for row in fox[:-1]])
+        cases.append([row[:-1] for row in fox[1:]])
+    for trial, rows in enumerate(cases):
+        assert det_laurent(rows) == det_laurent_bareiss(rows), (trial, rows)
+    assert 0 in residuals and max(residuals) >= 3
 
 
 def test_det_laurent_known_values():
