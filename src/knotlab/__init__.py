@@ -49,6 +49,7 @@ from .constructions import (
     ConstructionError,
     DoubleSpec,
     Fraction,
+    TwoBridgeFraction,
     cable2,
     cf_to_fraction,
     paper_family,

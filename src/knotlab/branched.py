@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 
-from .diagram import KnotlabError
+from .diagram import KnotlabError, _ParityUnionFind
 
 
 class ModelError(KnotlabError):
@@ -168,28 +168,11 @@ def transversely_orientable(model):
     preserve it; the model is orientable iff no constraint cycle is odd.
     """
     _check(model)
-    parent = {sid: sid for sid in model.sector_ids()}
-    parity = {sid: 0 for sid in model.sector_ids()}
-
-    def find(x):
-        p = 0
-        while parent[x] != x:
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
-
-    def union(a, b, flip):
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            return (pa ^ pb) == flip
-        parent[ra] = rb
-        parity[ra] = pa ^ pb ^ flip
-        return True
-
+    index = {sid: k for k, sid in enumerate(model.sector_ids())}
+    uf = _ParityUnionFind(len(index))
     for c in model.branch_curves:
         for sheet, rel in zip(c.sheet_sides, c.orientation_relation):
-            if not union(c.merged_side, sheet, 1 if rel == "opposite" else 0):
+            if not uf.union(index[c.merged_side], index[sheet], rel == "opposite"):
                 return False
     return True
 

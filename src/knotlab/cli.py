@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .diagram import KnotlabError, parse_pd, serialize_pd, validate
+from .diagram import KnotlabError, ParseError, parse_pd, serialize_pd, validate
 from .invariants import invariant_tuple
 from .seifert import incompressibility_certificate, seifert_circles
 from . import constructions
@@ -51,13 +51,18 @@ class _Report:
 
 
 def _read_input(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return text, f"sha256:{digest}"
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        # a non-UTF-8 stdin arrives surrogate-escaped and fails here instead
+        data = text.encode()
+    except UnicodeError as e:
+        source = "stdin" if path == "-" else repr(path)
+        raise ParseError(f"input {source} is not UTF-8 text: {e.reason}") from None
+    return text, f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 def _cmd_validate(args):

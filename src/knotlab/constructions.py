@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagram import KnotlabError, PlanarDiagram, validate, writhe, _valid
+from .diagram import KnotlabError, PlanarDiagram, validate, writhe, _occurrences, _valid
 from .wiring import StrandGraph
 
 
@@ -18,8 +18,13 @@ class ConstructionError(KnotlabError):
     pass
 
 
+# Largest twist region a construction allocates; integer parameters scale the
+# diagram only through twist regions, so this bounds every size request.
+MAX_CROSSINGS = 10_000
+
+
 @dataclass(frozen=True)
-class Fraction:
+class TwoBridgeFraction:
     """2-bridge fraction p/q in lowest terms, 0 < q < p (q = 0 only for p = 1).
 
     Two fractions present the same knot iff q' = q or q*q' = 1 (mod p);
@@ -50,6 +55,9 @@ class Fraction:
         return frozenset(members)
 
 
+Fraction = TwoBridgeFraction  # the former name, kept as an alias
+
+
 def cf_to_fraction(cf):
     """Evaluate a continued fraction left to right: v -> c + 1/v.
 
@@ -70,7 +78,7 @@ def cf_to_fraction(cf):
         num, den = -num, -den
     g = gcd(num, abs(den))
     num, den = num // g, den // g
-    return Fraction(num, den % num if num > 1 else 0)
+    return TwoBridgeFraction(num, den % num if num > 1 else 0)
 
 
 class _Tangle:
@@ -82,12 +90,20 @@ class _Tangle:
         self.g, self.nw, self.ne, self.sw, self.se = g, nw, ne, sw, se
 
 
+def _twist_nodes(g, count, positive):
+    if count > MAX_CROSSINGS:
+        raise ConstructionError(
+            f"twist region of {count} crossings exceeds the limit of {MAX_CROSSINGS}"
+        )
+    return [g.add_node(positive) for _ in range(count)]
+
+
 def _h_chain(g, count, positive):
     """Horizontal twist region: `count` crossings between two west-east strands.
 
     Node ports counterclockwise: 0=SW, 1=SE, 2=NE, 3=NW.
     """
-    ids = [g.add_node(positive) for _ in range(count)]
+    ids = _twist_nodes(g, count, positive)
     for a, b in zip(ids, ids[1:]):
         g.connect((a, 2), (b, 3))
         g.connect((a, 1), (b, 0))
@@ -97,7 +113,7 @@ def _h_chain(g, count, positive):
 
 def _v_chain(g, count, positive):
     """Vertical twist region: strands enter at the north, exit at the south."""
-    ids = [g.add_node(positive) for _ in range(count)]
+    ids = _twist_nodes(g, count, positive)
     for a, b in zip(ids, ids[1:]):
         g.connect((a, 0), (b, 3))
         g.connect((a, 1), (b, 2))
@@ -163,6 +179,13 @@ def _close(t, numerator):
     return t.g.to_diagram()
 
 
+def _validated_knot(pd, what):
+    report = validate(pd)
+    if not report.ok or report.component_count != 1:
+        raise ConstructionError(f"{what} failed validation: {report.failures}")
+    return pd
+
+
 def rational_knot(cf):
     """4-plat diagram of the 2-bridge knot with continued fraction cf.
 
@@ -176,10 +199,7 @@ def rational_knot(cf):
             f"fraction {frac.p}/{frac.q} has even p: 2-component link, not a knot"
         )
     pd = _close(_build_rational_tangle(list(cf)), len(cf) % 2 == 1)
-    report = validate(pd)
-    if not report.ok or report.component_count != 1:
-        raise ConstructionError(f"rational diagram failed validation: {report.failures}")
-    return pd
+    return _validated_knot(pd, "rational diagram")
 
 
 def twist_knot(c):
@@ -194,12 +214,9 @@ def torus_2n(n):
     if n % 2 == 0:
         raise ConstructionError(f"(2,{n}) closed braid is a 2-component link")
     g = StrandGraph()
-    ids = [g.add_node(n > 0) for _ in range(abs(n))]
-    m = len(ids)
-    for i in range(m):
-        j = (i + 1) % m
-        g.connect((ids[i], 2), (ids[j], 3))
-        g.connect((ids[i], 1), (ids[j], 0))
+    nw, ne, sw, se = _h_chain(g, abs(n), n > 0)
+    g.connect(ne, nw)
+    g.connect(se, sw)
     return g.to_diagram()
 
 
@@ -260,10 +277,7 @@ def _doubled_with_gap(pd):
         name, port = _TILE_PORT[(slot, sub)]
         return (tiles[ci][name], port)
 
-    occ = {}
-    for ci, x in enumerate(pd.crossings):
-        for slot, lab in enumerate(x.slots()):
-            occ.setdefault(lab, []).append((ci, slot))
+    occ = _occurrences(pd)
     for lab in sorted(occ):
         (c1, s1), (c2, s2) = occ[lab]
         if lab == 1:
@@ -298,11 +312,7 @@ def cable2(pd, f):
     g, stubs = _doubled_with_gap(pd)
     t = _tangle_h(g, j) if j else None
     _splice_tangle(g, stubs, t)
-    out = g.to_diagram()
-    report = validate(out)
-    if not report.ok or report.component_count != 1:
-        raise ConstructionError(f"cable failed validation: {report.failures}")
-    return out
+    return _validated_knot(g.to_diagram(), "cable")
 
 
 @dataclass(frozen=True)
@@ -333,11 +343,7 @@ def whitehead_double(spec):
     t = _tangle_v(g, 2 * spec.clasp)
     t = _twist_right(t, inserted)
     _splice_tangle(g, stubs, t)
-    out = g.to_diagram()
-    report = validate(out)
-    if not report.ok or report.component_count != 1:
-        raise ConstructionError(f"double failed validation: {report.failures}")
-    return out
+    return _validated_knot(g.to_diagram(), "double")
 
 
 def paper_family(n):

@@ -100,19 +100,87 @@ def serialize_pd(pd):
     return "".join(f"X {x.a},{x.b},{x.c},{x.d}\n" for x in pd.crossings)
 
 
+def _occurrences(pd):
+    """Edge label -> [(crossing, slot), ...], in crossing then slot order."""
+    occ = {}
+    for ci, x in enumerate(pd.crossings):
+        for s, lab in enumerate(x.slots()):
+            occ.setdefault(lab, []).append((ci, s))
+    return occ
+
+
+def _orbits(step, starts):
+    """Cycles of the map `step`, each entered at its first element in `starts`.
+
+    An orbit ends before the first element already traced, so on a
+    permutation every orbit closes on its start; a caller that cannot assume
+    one checks step[orbit[-1]] == orbit[0].
+    """
+    seen = set()
+    out = []
+    for start in starts:
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = step[cur]
+        out.append(tuple(orbit))
+    return out
+
+
+def _face_orbits(partner, nodes):
+    """Faces of a rotation system given its port pairing (crossing, slot) <->
+    (crossing, slot): follow the edge to its other end and turn to the
+    clockwise-adjacent slot."""
+    nxt = {u: (v[0], (v[1] - 1) % 4) for u, v in partner.items()}
+    return _orbits(nxt, ((c, s) for c in nodes for s in range(4)))
+
+
+class _ParityUnionFind:
+    """Union-find over 0..n-1 that tracks each element's parity to its root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.parity = [0] * n
+
+    def find(self, a):
+        """(root of a, parity of a relative to the root), halving the path."""
+        parent, parity = self.parent, self.parity
+        p = 0
+        while parent[a] != a:
+            b = parent[a]
+            parity[a] ^= parity[b]
+            parent[a] = parent[b]
+            p ^= parity[a]
+            a = parent[a]
+        return a, p
+
+    def union(self, a, b, odd=False):
+        """Join a and b with relative parity `odd`; False if that closes an odd cycle."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return (pa ^ pb) == odd
+        self.parent[ra] = rb
+        self.parity[ra] = pa ^ pb ^ odd
+        return True
+
+    def connected(self):
+        return len({self.find(a)[0] for a in range(len(self.parent))}) <= 1
+
+
 class _Resolved:
     """Everything derivable from a structurally valid diagram in one pass."""
 
     __slots__ = (
         "ok",
         "failures",
-        "n",
         "occ",
         "head",
-        "tail",
-        "succ",
         "components",
-        "comp_of",
         "signs",
         "over_in_slot",
         "faces",
@@ -124,14 +192,9 @@ def _resolve(pd):
     r = _Resolved()
     failures = []
     n = len(pd.crossings)
-    r.n = n
     ne = 2 * n
 
-    # occurrence map label -> [(crossing, slot), ...]
-    occ = {}
-    for ci, x in enumerate(pd.crossings):
-        for s, lab in enumerate(x.slots()):
-            occ.setdefault(lab, []).append((ci, s))
+    occ = _occurrences(pd)
     bad_labels = sorted(k for k in occ if not (1 <= k <= ne))
     if bad_labels:
         failures.append(f"edge labels out of range 1..{ne}: {bad_labels}")
@@ -237,7 +300,6 @@ def _resolve(pd):
         r.failures = tuple(failures)
         return r
     r.head = head
-    r.tail = tail
     r.over_in_slot = [1 if ch else 3 for ch in choice]
     r.signs = [1 if ch else -1 for ch in choice]
 
@@ -249,92 +311,40 @@ def _resolve(pd):
             succ[x.b] = x.d
         else:
             succ[x.d] = x.b
-    r.succ = succ
 
     # strand components; each must be a cyclic run lo, lo+1, ..., hi
-    seen = set()
-    components = []
-    for start in range(1, ne + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        e = succ[start]
-        while e != start:
-            if e in seen:
-                failures.append("edge successor structure is not a permutation")
-                break
-            cyc.append(e)
-            seen.add(e)
-            e = succ[e]
-        components.append(cyc)
-    comp_of = {}
-    for idx, cyc in enumerate(components):
+    components = _orbits(succ, range(1, ne + 1))
+    for cyc in components:
+        if succ[cyc[-1]] != cyc[0]:
+            failures.append("edge successor structure is not a permutation")
         lo = min(cyc)
         k = cyc.index(lo)
-        rotated = cyc[k:] + cyc[:k]
-        if rotated != list(range(lo, lo + len(cyc))):
+        if cyc[k:] + cyc[:k] != tuple(range(lo, lo + len(cyc))):
             failures.append(
                 f"edge labels do not increase by one along component containing {lo}"
             )
-        for e in cyc:
-            comp_of[e] = idx
     r.components = components
-    r.comp_of = comp_of
 
     # connectivity of the underlying 4-valent graph
-    if n > 1:
-        parent = list(range(n))
+    uf = _ParityUnionFind(n)
+    for (c1, _), (c2, _) in occ.values():
+        uf.union(c1, c2)
+    if not uf.connected():
+        failures.append("split diagram: underlying graph is disconnected")
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for e, pair in occ.items():
-            i, j = find(pair[0][0]), find(pair[1][0])
-            if i != j:
-                parent[i] = j
-        roots = {find(i) for i in range(n)}
-        if len(roots) > 1:
-            failures.append("split diagram: underlying graph is disconnected")
-
-    # faces from the rotation system: from (crossing, slot) follow the edge to
-    # its other occurrence and turn to the clockwise-adjacent slot
+    r.faces = ()
+    r.face_of_corner = {}
     if not failures:
-        nxt = {}
-        for e, pair in occ.items():
-            (c1, s1), (c2, s2) = pair
-            nxt[(c1, s1)] = (c2, (s2 - 1) % 4)
-            nxt[(c2, s2)] = (c1, (s1 - 1) % 4)
-        faces = []
-        face_of_corner = {}
-        visited = set()
-        for ci in range(n):
-            for s in range(4):
-                h = (ci, s)
-                if h in visited:
-                    continue
-                orbit = []
-                cur = h
-                while cur not in visited:
-                    visited.add(cur)
-                    orbit.append(cur)
-                    cur = nxt[cur]
-                faces.append(tuple(orbit))
-                fi = len(faces) - 1
-                for corner in orbit:
-                    face_of_corner[corner] = fi
-        r.faces = tuple(faces)
-        r.face_of_corner = face_of_corner
-        if len(faces) != n + 2:
+        partner = {}
+        for u, v in occ.values():
+            partner[u] = v
+            partner[v] = u
+        r.faces = tuple(_face_orbits(partner, range(n)))
+        r.face_of_corner = {h: fi for fi, face in enumerate(r.faces) for h in face}
+        if len(r.faces) != n + 2:
             failures.append(
-                f"rotation system is not planar: {len(faces)} faces, expected {n + 2}"
+                f"rotation system is not planar: {len(r.faces)} faces, expected {n + 2}"
             )
-    else:
-        r.faces = ()
-        r.face_of_corner = {}
 
     r.ok = not failures
     r.failures = tuple(failures)
@@ -350,6 +360,13 @@ def _valid(pd):
     rr = _res(pd)
     if not rr.ok:
         raise ValidationError("; ".join(rr.failures))
+    return rr
+
+
+def _require_knot(pd):
+    rr = _valid(pd)
+    if len(rr.components) != 1:
+        raise ValidationError(f"expected a knot, got {len(rr.components)} components")
     return rr
 
 
@@ -405,29 +422,14 @@ def checkerboard(pd):
     The face containing corner 0 of crossing 0 is declared white.
     """
     rr = _valid(pd)
-    nf = len(rr.faces)
-    adj = [set() for _ in range(nf)]
-    for e, pair in rr.occ.items():
-        (c1, s1), (c2, s2) = pair
-        # the two faces on either side of edge e are the orbits of its two
-        # departure half-edges
-        f1 = rr.face_of_corner[(c1, s1)]
-        f2 = rr.face_of_corner[(c2, s2)]
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    colors = [None] * nf
-    root = rr.face_of_corner[(0, 0)]
-    colors[root] = "white"
-    queue = [root]
-    while queue:
-        f = queue.pop()
-        for g in adj[f]:
-            if colors[g] is None:
-                colors[g] = "black" if colors[f] == "white" else "white"
-                queue.append(g)
-            elif colors[g] == colors[f]:
-                raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
-    return colors
+    uf = _ParityUnionFind(len(rr.faces))
+    for u, v in rr.occ.values():
+        # the two faces on either side of an edge are the orbits of its two
+        # departure half-edges, and they must get opposite colors
+        if not uf.union(rr.face_of_corner[u], rr.face_of_corner[v], True):
+            raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
+    _, white = uf.find(rr.face_of_corner[(0, 0)])
+    return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
 
 
 def strand_passages(pd):

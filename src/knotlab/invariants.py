@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import InconsistencyError, ValidationError, checkerboard, _valid
+from .diagram import InconsistencyError, checkerboard, _require_knot, _valid
 from .laurent import LaurentPoly, ONE, det_int, det_laurent, symmetric_signature
 
 _T = LaurentPoly.t_power(1)
@@ -41,13 +41,6 @@ class InvariantTuple:
 
     def key(self):
         return (self.alexander, self.determinant, self.signature, self.genus_lower_bound)
-
-
-def _require_knot(pd):
-    rr = _valid(pd)
-    if len(rr.components) != 1:
-        raise ValidationError(f"expected a knot, got {len(rr.components)} components")
-    return rr
 
 
 def _arc_of(pd, rr):

@@ -132,16 +132,19 @@ def load_table(source):
 
     Any failing record aborts the whole load with an error naming it.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and not text.lstrip().startswith("name "):
-            try:
+    name = str(getattr(source, "name", source))
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = str(source)
+            if "\n" not in text and not text.lstrip().startswith("name "):
                 with open(text, encoding="utf-8") as f:
                     text = f.read()
-            except OSError as e:
-                raise TableError(f"cannot read table {text!r}: {e.strerror or e}") from e
+    except OSError as e:
+        raise TableError(f"cannot read table {name!r}: {e.strerror or e}") from e
+    except UnicodeError as e:
+        raise TableError(f"table {name!r} is not UTF-8 text: {e.reason}") from None
     records = parse_table(text)
     for rec in records:
         _revalidate(rec)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import KnotlabError, PlanarDiagram, validate
+from .diagram import KnotlabError, validate
 from .wiring import StrandGraph, WiringError
 
 MOVE_KINDS = ("r1+", "r1-", "r2+", "r2-", "r3")
@@ -251,14 +251,6 @@ _APPLY = {
 }
 
 
-def _copy(g):
-    h = StrandGraph()
-    h.over_vertical = dict(g.over_vertical)
-    h.conn = dict(g.conn)
-    h._next = g._next
-    return h
-
-
 def move_candidates(g, kind):
     """Viable move sites of one kind, in deterministic order."""
     if kind not in _ENUM:
@@ -267,7 +259,7 @@ def move_candidates(g, kind):
     if kind in ("r1-", "r2-"):
         viable = []
         for site in sites:
-            probe = _copy(g)
+            probe = g.copy()
             try:
                 _APPLY[kind](probe, site)
             except WiringError:

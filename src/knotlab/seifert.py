@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import InconsistencyError, ValidationError, is_alternating, _valid
+from .diagram import InconsistencyError, is_alternating, _orbits, _ParityUnionFind, _require_knot
 from . import invariants
 
 
@@ -33,13 +33,6 @@ class IncompressibilityCertificate:
         return self.method != "none"
 
 
-def _require_knot(pd):
-    rr = _valid(pd)
-    if len(rr.components) != 1:
-        raise ValidationError(f"expected a knot, got {len(rr.components)} components")
-    return rr
-
-
 def seifert_circles(pd):
     rr = _require_knot(pd)
     succ = {}
@@ -50,16 +43,9 @@ def seifert_circles(pd):
         else:
             succ[x.a] = x.b
             succ[x.d] = x.c
-    membership = {}
-    count = 0
-    for start in sorted(succ):
-        if start in membership:
-            continue
-        e = start
-        while e not in membership:
-            membership[e] = count
-            e = succ[e]
-        count += 1
+    circles = _orbits(succ, sorted(succ))
+    membership = {e: i for i, circle in enumerate(circles) for e in circle}
+    count = len(circles)
     edges = []
     for ci, x in enumerate(pd.crossings):
         over_in = x.b if rr.signs[ci] > 0 else x.d
@@ -67,23 +53,12 @@ def seifert_circles(pd):
     twice_genus = len(pd) - count + 1
     if twice_genus % 2:
         raise InconsistencyError("C - s + 1 is odd on a knot diagram")
-    _check_connected(count, edges)
-    return SeifertDecomposition(count, membership, tuple(edges), twice_genus // 2)
-
-
-def _check_connected(n, edges):
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = _ParityUnionFind(count)
     for u, v in edges:
-        parent[find(u)] = find(v)
-    if len({find(i) for i in range(n)}) != 1:
+        uf.union(u, v)
+    if not uf.connected():
         raise InconsistencyError("Seifert graph of a connected diagram is split")
+    return SeifertDecomposition(count, membership, tuple(edges), twice_genus // 2)
 
 
 def incompressibility_certificate(pd):

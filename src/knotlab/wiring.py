@@ -9,7 +9,7 @@ builds or mutates graphs never has to manage edge labels itself.
 
 from __future__ import annotations
 
-from .diagram import Crossing, PlanarDiagram, KnotlabError
+from .diagram import Crossing, PlanarDiagram, KnotlabError, _face_orbits, _occurrences
 
 
 class WiringError(KnotlabError):
@@ -21,6 +21,13 @@ class StrandGraph:
         self.over_vertical = {}
         self.conn = {}
         self._next = 0
+
+    def copy(self):
+        h = StrandGraph()
+        h.over_vertical = dict(self.over_vertical)
+        h.conn = dict(self.conn)
+        h._next = self._next
+        return h
 
     def add_node(self, over_vertical=False):
         nid = self._next
@@ -119,34 +126,14 @@ class StrandGraph:
 
     def faces(self):
         """Face orbits of the rotation system as tuples of departure ports."""
-        nxt = {}
-        for u, v in self.conn.items():
-            nxt[u] = (v[0], (v[1] - 1) % 4)
-        seen = set()
-        out = []
-        for nid in sorted(self.over_vertical):
-            for p in range(4):
-                h = (nid, p)
-                if h in seen:
-                    continue
-                orbit = []
-                cur = h
-                while cur not in seen:
-                    seen.add(cur)
-                    orbit.append(cur)
-                    cur = nxt[cur]
-                out.append(tuple(orbit))
-        return out
+        return _face_orbits(self.conn, sorted(self.over_vertical))
 
     @classmethod
     def from_diagram(cls, pd):
         g = cls()
-        ids = [g.add_node(False) for _ in pd.crossings]
-        occ = {}
-        for ci, x in enumerate(pd.crossings):
-            for s, lab in enumerate(x.slots()):
-                occ.setdefault(lab, []).append((ids[ci], s))
-        for lab, pair in occ.items():
+        for _ in pd.crossings:
+            g.add_node(False)
+        for lab, pair in _occurrences(pd).items():
             if len(pair) != 2:
                 raise WiringError(f"edge label {lab} does not appear exactly twice")
             g.connect(pair[0], pair[1])

@@ -78,6 +78,28 @@ def test_orientability_flip():
         compressing_disks=[],
     )
     assert transversely_orientable(chain)
+    # seeded random models against a search over every sector 2-coloring
+    rng = random.Random(3)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        curves = []
+        for k in range(rng.randint(0, 5)):
+            merged, s1, s2 = (f"S{rng.randrange(n)}" for _ in range(3))
+            rels = (rng.choice(("same", "opposite")), rng.choice(("same", "opposite")))
+            curves.append(BranchCurve(f"c{k}", merged, (s1, s2), 0, rels))
+        model = BranchedSurfaceModel([(f"S{i}", -1) for i in range(n)], curves, [], [])
+        want = any(
+            all(
+                colors[int(c.merged_side[1:])] ^ colors[int(s[1:])] == (rel == "opposite")
+                for c in curves
+                for s, rel in zip(c.sheet_sides, c.orientation_relation)
+            )
+            for colors in itertools.product((0, 1), repeat=n)
+        )
+        assert transversely_orientable(model) == want, f"trial {trial}"
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_flags_invariant_under_relabeling():

@@ -205,6 +205,48 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert "status error" in out
 
 
+def test_non_utf8_input_is_a_domain_error(capsys, monkeypatch, tmp_path, trefoil_file):
+    bad = tmp_path / "bad.pd"
+    bad.write_bytes(b"\xff\xfe" + TREFOIL_PD.encode())
+    for argv in (
+        ["validate", str(bad)],
+        ["invariants", str(bad)],
+        ["seifert", str(bad)],
+        ["construct", "cable2", "--f", "1", str(bad)],
+        ["bf", "--model", str(bad)],
+        ["identify", "--table", str(bad), trefoil_file],
+    ):
+        rc, out = run(capsys, argv)
+        assert rc == 1, argv
+        assert out.endswith("status error\n"), argv
+        assert repr(str(bad)) in out and "not UTF-8" in out, argv
+    # stdin decoded strictly, and stdin decoded with escaped surrogates
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc, out = run(capsys, ["validate"])
+        assert rc == 1 and out.endswith("status error\n"), errors
+        assert "input stdin is not UTF-8" in out, errors
+
+
+def test_construction_size_cap_exits_1(capsys, trefoil_file):
+    # trefoil writhe 3: cable2 inserts f - 6 half-twists, double 2 * twists - 6;
+    # the family companion has writhe 1, so index n inserts 2 * n + 2
+    for argv in (
+        ["construct", "torus", "--n", "10001"],
+        ["construct", "torus", "--n", "-10001"],
+        ["construct", "rational", "--cf", "10001"],
+        ["construct", "rational", "--cf", "2 10002"],
+        ["construct", "twist", "--c", "10004"],
+        ["construct", "cable2", "--f", "10007", trefoil_file],
+        ["construct", "double", "--twists", "5004", trefoil_file],
+        ["construct", "family", "--n", "5000"],
+    ):
+        rc, out = run(capsys, argv)
+        assert rc == 1, argv
+        assert out.endswith("exceeds the limit of 10000\nstatus error\n"), argv
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (["bogus"], ["construct", "torus"], ["construct", "double", "--clasp", "2"], []):
         with pytest.raises(SystemExit) as err:

@@ -3,9 +3,11 @@
 import pytest
 
 from knotlab.constructions import (
+    MAX_CROSSINGS,
     ConstructionError,
     DoubleSpec,
     Fraction,
+    TwoBridgeFraction,
     cable2,
     cf_to_fraction,
     paper_family,
@@ -49,6 +51,7 @@ def test_fraction_validation():
     with pytest.raises(ConstructionError):
         Fraction(3, 3)
     assert Fraction(1, 0).p == 1
+    assert Fraction is TwoBridgeFraction  # the former name stays an alias
 
 
 def test_fraction_same_knot():
@@ -186,3 +189,15 @@ def test_paper_family():
         assert invariant_tuple(pd).key() == invariant_tuple(twist_knot(2 * n + 6)).key()
     with pytest.raises(ConstructionError):
         paper_family(-1)
+
+
+def test_twist_regions_are_capped():
+    assert len(torus_2n(MAX_CROSSINGS - 1)) == MAX_CROSSINGS - 1
+    for build in (
+        lambda: torus_2n(MAX_CROSSINGS + 1),
+        lambda: rational_knot([2, MAX_CROSSINGS + 2]),
+        lambda: pretzel(3, -(MAX_CROSSINGS + 1), 3),
+        lambda: whitehead_double(DoubleSpec(TREFOIL, MAX_CROSSINGS, 1)),
+    ):
+        with pytest.raises(ConstructionError, match="exceeds the limit"):
+            build()

@@ -79,6 +79,12 @@ def test_validate_rejects_inconsistent_orientations():
     assert not report.ok
 
 
+def test_validate_rejects_split_diagram():
+    report = validate(parse_pd("X 1,2,2,1\nX 3,4,4,3"))
+    assert not report.ok
+    assert report.failures == ("split diagram: underlying graph is disconnected",)
+
+
 def test_component_count():
     assert component_count(parse_pd(TREFOIL)) == 1
     assert component_count(parse_pd(KINK)) == 1

@@ -79,6 +79,18 @@ def test_load_table_unreadable_path_is_a_table_error(tmp_path):
         assert repr(source) in str(err.value)
 
 
+def test_load_table_non_utf8_is_a_table_error(tmp_path):
+    path = tmp_path / "bad.table"
+    path.write_bytes(b"\xff\xfe" + serialize_table(bundled_table()[:1]).encode())
+    with pytest.raises(TableError) as err:
+        load_table(str(path))
+    assert repr(str(path)) in str(err.value) and "UTF-8" in str(err.value)
+    with open(path, encoding="utf-8") as f:
+        with pytest.raises(TableError) as err:
+            load_table(f)
+    assert repr(str(path)) in str(err.value)
+
+
 def test_parse_table_empty():
     assert parse_table("") == ()
     assert parse_table("# only comments\n\n") == ()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from knotlab.diagram import parse_pd, serialize_pd, validate
+from knotlab.diagram import faces, parse_pd, serialize_pd, validate
+from knotlab.knotdb import bundled_table
+from knotlab.moves import reidemeister_perturb
 from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
@@ -83,3 +85,12 @@ def test_splice_out_refuses_stranded_loops():
 def test_faces_counts_match_euler():
     g = StrandGraph.from_diagram(TREFOIL)
     assert len(g.faces()) == len(TREFOIL) + 2
+    # the port graph and the diagram trace the same faces in the same order
+    diagrams = [TREFOIL]
+    for rec in bundled_table():
+        diagrams.append(rec.pd)
+        diagrams.extend(reidemeister_perturb(rec.pd, moves=6, seed=s) for s in range(20))
+    for pd in diagrams:
+        got = StrandGraph.from_diagram(pd).faces()
+        assert len(got) == len(pd) + 2
+        assert tuple(got) == faces(pd), pd
