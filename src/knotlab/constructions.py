@@ -18,8 +18,9 @@ class ConstructionError(KnotlabError):
     pass
 
 
-# Largest twist region a construction allocates; integer parameters scale the
-# diagram only through twist regions, so this bounds every size request.
+# Largest diagram a construction builds.  Integer parameters grow a diagram
+# through its twist regions and the companion's 2-parallel (4 crossings per
+# companion crossing), so both check the whole graph before allocating.
 MAX_CROSSINGS = 10_000
 
 
@@ -90,11 +91,15 @@ class _Tangle:
         self.g, self.nw, self.ne, self.sw, self.se = g, nw, ne, sw, se
 
 
-def _twist_nodes(g, count, positive):
-    if count > MAX_CROSSINGS:
+def _check_size(total):
+    if total > MAX_CROSSINGS:
         raise ConstructionError(
-            f"twist region of {count} crossings exceeds the limit of {MAX_CROSSINGS}"
+            f"diagram of {total} crossings exceeds the limit of {MAX_CROSSINGS}"
         )
+
+
+def _twist_nodes(g, count, positive):
+    _check_size(len(g.over_vertical) + count)
     return [g.add_node(positive) for _ in range(count)]
 
 
@@ -263,6 +268,7 @@ def _doubled_with_gap(pd):
     of edge 1 are left unwired: four stubs (a1, b1) on one side and (a2, b2)
     on the other, ready to receive a tangle.
     """
+    _check_size(4 * len(pd))
     g = StrandGraph()
     tiles = []
     for _ in range(len(pd)):

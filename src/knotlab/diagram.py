@@ -59,9 +59,6 @@ class PlanarDiagram:
     def __len__(self):
         return len(self.crossings)
 
-    def edge_count(self):
-        return 2 * len(self.crossings)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -212,65 +209,34 @@ def _resolve(pd):
 
     # Resolve strand orientations.  Under slots are forced (slot 0 takes the
     # incoming edge, slot 2 the outgoing one); each crossing's over pair
-    # (slots 1 and 3) has a binary orientation choice.  choice[c] = True
-    # means slot 1 is the incoming over-strand (head of its label).
-    choice = [None] * n
-
-    def occ_role_fixed(ci, s):
-        # head = edge ends here (incoming); returns None for over slots
-        if s == 0:
-            return "head"
-        if s == 2:
-            return "tail"
-        return None
-
-    # constraints from edges with one under occurrence and one over occurrence
-    pending = True
-    conflict = False
-    while pending and not conflict:
-        pending = False
-        for e, pair in occ.items():
-            (c1, s1), (c2, s2) = pair
-            r1 = occ_role_fixed(c1, s1)
-            r2 = occ_role_fixed(c2, s2)
-            for (ci, s, other_role) in ((c1, s1, r2), (c2, s2, r1)):
-                if occ_role_fixed(ci, s) is not None:
-                    continue
-                if ci == c1 == c2 and s1 != 0 and s1 != 2 and s2 != 0 and s2 != 2:
-                    continue  # both occurrences in the same over pair; free
-                if other_role is None:
-                    # other occurrence is an over slot; propagate if decided
-                    oc, os = (c2, s2) if (ci, s) == (c1, s1) else (c1, s1)
-                    if choice[oc] is None:
-                        continue
-                    other_head = (os == 1) == choice[oc]
-                    other_role = "head" if other_head else "tail"
-                want_head = other_role == "tail"
-                implied = (s == 1) == want_head
-                if choice[ci] is None:
-                    choice[ci] = implied
-                    pending = True
-                elif choice[ci] != implied:
-                    conflict = True
-                    failures.append(f"inconsistent strand orientation at crossing {ci}")
-                    break
-            if conflict:
-                break
-    # leftover undecided crossings (components lying entirely over): use the
-    # numbering convention, labels increase along the strand
+    # (slots 1 and 3) has a binary orientation choice, and every edge needs
+    # one incoming and one outgoing end.  Node n stands for "slot 1 is the
+    # incoming over-strand": a crossing joined to it at even parity makes
+    # that choice, at odd parity the other.
+    orient = _ParityUnionFind(n + 1)
+    for u, v in occ.values():
+        (ci, s), (c2, s2) = (u, v) if u[1] % 2 else (v, u)  # an over end first, if any
+        if s % 2 == 0:
+            continue  # two under ends; set_role reports them
+        if s2 % 2:
+            # two over ends: equal slots need opposite choices
+            joined = orient.union(ci, c2, s == s2)
+        else:
+            # the over end is incoming exactly when the under end is slot 2
+            joined = orient.union(ci, n, (s == 1) == (s2 == 0))
+        if not joined:
+            r.ok = False
+            r.failures = (f"inconsistent strand orientation at crossing {ci}",)
+            return r
+    root, parity = orient.find(n)
+    choice = []
     for ci, x in enumerate(pd.crossings):
-        if choice[ci] is None:
-            b, d = x.b, x.d
-            if d == b + 1:
-                choice[ci] = True
-            elif b == d + 1:
-                choice[ci] = False
-            else:
-                choice[ci] = b > d
-    if conflict:
-        r.ok = False
-        r.failures = tuple(failures)
-        return r
+        rc, pc = orient.find(ci)
+        if rc == root:
+            choice.append(pc == parity)
+        else:
+            # a component lying entirely over: labels increase along the strand
+            choice.append(x.d == x.b + 1 if abs(x.b - x.d) == 1 else x.b > x.d)
 
     head = {}
     tail = {}

@@ -36,14 +36,6 @@ class LaurentPoly:
             self.coeffs = tuple(coeffs[lo:hi])
 
     @classmethod
-    def from_dict(cls, d):
-        if not d:
-            return cls()
-        lo = min(d)
-        hi = max(d)
-        return cls([d.get(k, 0) for k in range(lo, hi + 1)], lo)
-
-    @classmethod
     def const(cls, c):
         return cls([c], 0)
 
@@ -158,6 +150,8 @@ class LaurentPoly:
             raise ArithmeticError("inexact Laurent division")
         return LaurentPoly(q, self.offset - other.offset)
 
+    __floordiv__ = exact_div  # so Bareiss divides exactly in both rings
+
     def evaluate(self, x):
         """Evaluate at an integer or Fraction x (x != 0 if offset < 0)."""
         if not self.coeffs:
@@ -182,20 +176,6 @@ class LaurentPoly:
         """c_k == c_(span-k) for the canonical representative."""
         c = self.canonical().coeffs
         return c == tuple(reversed(c))
-
-    def format_text(self):
-        """Canonical text form: coefficients from degree 0 upward, space-separated."""
-        c = self.canonical()
-        if not c.coeffs:
-            return "0"
-        return " ".join(str(x) for x in c.coeffs)
-
-    @classmethod
-    def parse_text(cls, s):
-        parts = s.split()
-        if not parts:
-            raise ValueError("empty Laurent polynomial text")
-        return cls([int(p) for p in parts], 0)
 
     def __repr__(self):
         if not self.coeffs:
@@ -222,33 +202,38 @@ T = LaurentPoly.t_power(1)
 # exact determinants
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
+def _bareiss(m, one):
+    """Determinant of the square matrix m by fraction-free Bareiss elimination.
+
+    Works over any integral domain whose `//` divides exactly, with `one` its
+    unit: ints, and LaurentPoly (where `//` is exact_div).  Rows of m are
+    overwritten.
+    """
+    n = len(m)
     sign = 1
-    prev = 1
+    prev = one
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = m[k][k]
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return m[k][k]  # column k vanishes from row k down: the ring's zero
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        pkk = top[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row = m[i]
-            top = m[k]
+            mik = row[k]
             for j in range(k + 1, n):
                 row[j] = (pkk * row[j] - mik * top[j]) // prev
-            row[k] = 0
         prev = pkk
-    return sign * m[n - 1][n - 1]
+    d = m[n - 1][n - 1] if n else one
+    return -d if sign < 0 else d
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination."""
+    return _bareiss([list(r) for r in rows], 1)
 
 
 def det_laurent_bareiss(rows):
@@ -258,30 +243,7 @@ def det_laurent_bareiss(rows):
     with polynomial entries: det_laurent hands it only the block that unit
     pivots cannot reach, and the tests use it whole as the reference.
     """
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [[e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in r] for r in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        piv = k
-        while piv < n and m[piv][k].is_zero():
-            piv += 1
-        if piv == n:
-            return LaurentPoly()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (pkk * m[i][j] - mik * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPoly()
-        prev = pkk
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return _bareiss([[e * ONE for e in r] for r in rows], ONE)
 
 
 def _is_unit(p):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import KnotlabError, validate
+from .diagram import KnotlabError, _valid, validate
 from .wiring import StrandGraph, WiringError
 
 MOVE_KINDS = ("r1+", "r1-", "r2+", "r2-", "r3")
@@ -285,8 +285,10 @@ def reidemeister_perturb(pd, moves=10, seed=0):
 
     ``moves`` is either a count of random moves (driven by ``seed``) or an
     explicit sequence of ``(kind, site_index)`` pairs.  Raises MoveError when
-    an explicit move is inapplicable.
+    an explicit move is inapplicable, and ValidationError on an invalid input
+    diagram (tracing the graph renumbers every edge, which would hide it).
     """
+    _valid(pd)
     g = StrandGraph.from_diagram(pd)
     if isinstance(moves, int):
         rng = random.Random(seed)

@@ -237,6 +237,7 @@ def test_construction_size_cap_exits_1(capsys, trefoil_file):
         ["construct", "torus", "--n", "-10001"],
         ["construct", "rational", "--cf", "10001"],
         ["construct", "rational", "--cf", "2 10002"],
+        ["construct", "rational", "--cf", "9999 9999 9999"],
         ["construct", "twist", "--c", "10004"],
         ["construct", "cable2", "--f", "10007", trefoil_file],
         ["construct", "double", "--twists", "5004", trefoil_file],

@@ -19,6 +19,7 @@ from knotlab.constructions import (
 )
 from knotlab.diagram import component_count, is_alternating, mirror, parse_pd, validate, writhe
 from knotlab.invariants import alexander, determinant, invariant_tuple, signature
+from knotlab.wiring import StrandGraph
 
 KINK = parse_pd("X 1,2,2,1")
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
@@ -191,13 +192,25 @@ def test_paper_family():
         paper_family(-1)
 
 
-def test_twist_regions_are_capped():
+def test_twist_regions_are_capped(monkeypatch):
     assert len(torus_2n(MAX_CROSSINGS - 1)) == MAX_CROSSINGS - 1
+    add_node = StrandGraph.add_node
+
+    def checked_add_node(self, over_vertical=False):
+        # the cap is checked before allocation, so no graph outgrows it
+        assert len(self.over_vertical) < MAX_CROSSINGS
+        return add_node(self, over_vertical)
+
+    monkeypatch.setattr(StrandGraph, "add_node", checked_add_node)
     for build in (
         lambda: torus_2n(MAX_CROSSINGS + 1),
         lambda: rational_knot([2, MAX_CROSSINGS + 2]),
         lambda: pretzel(3, -(MAX_CROSSINGS + 1), 3),
         lambda: whitehead_double(DoubleSpec(TREFOIL, MAX_CROSSINGS, 1)),
+        # the cap covers the whole diagram, not each twist region
+        lambda: rational_knot([9999, 9999, 9999]),
+        # 4 * 2501 doubled crossings plus one half-twist (j = 1)
+        lambda: cable2(torus_2n(2501), 5003),
     ):
         with pytest.raises(ConstructionError, match="exceeds the limit"):
             build()

@@ -77,6 +77,10 @@ def test_validate_rejects_nonplanar_rotation():
 def test_validate_rejects_inconsistent_orientations():
     report = validate(parse_pd("X 1,3,2,4\nX 2,3,1,4"))
     assert not report.ok
+    # edges 1 and 2 give both crossings the same over-strand choice, while
+    # edge 3, from slot 3 to slot 3, needs opposite ones
+    report = validate(parse_pd("X 2,1,4,3\nX 1,2,4,3"))
+    assert report.failures == ("inconsistent strand orientation at crossing 0",)
 
 
 def test_validate_rejects_split_diagram():

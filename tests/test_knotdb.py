@@ -1,6 +1,9 @@
 """Knot table parsing, revalidation, and tuple-based identification."""
 
+import importlib.util
 import io
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +206,12 @@ def test_paper_list_contents():
     }
     assert table_flagged == {"6_1", "8_1", "8_9", "10_1"}
     assert table_flagged <= names
+
+
+def test_seed_table_regenerates():
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_seed_table.py"
+    spec = importlib.util.spec_from_file_location("make_seed_table", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    bundled = resources.files("knotlab").joinpath("data/knot_table.txt").read_text()
+    assert module.build_table() == bundled

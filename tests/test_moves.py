@@ -2,7 +2,7 @@
 
 import pytest
 
-from knotlab.diagram import component_count, parse_pd, validate, writhe
+from knotlab.diagram import ValidationError, component_count, parse_pd, validate, writhe
 from knotlab.invariants import invariant_tuple
 from knotlab.moves import MOVE_KINDS, MoveError, apply_move, move_candidates, reidemeister_perturb
 from knotlab.wiring import StrandGraph
@@ -79,6 +79,15 @@ def test_explicit_move_sequence():
     assert invariant_tuple(out).key() == TREFOIL_KEY
     with pytest.raises(MoveError):
         reidemeister_perturb(TREFOIL, moves=[("r2-", 0)])
+
+
+def test_perturbation_rejects_invalid_input():
+    # tracing renumbers every edge, so an unchecked invalid input comes back valid
+    bad = parse_pd("X 1,5,3,6\nX 2,4,5,1\nX 6,3,4,2")
+    assert not validate(bad).ok
+    for moves in (0, 3, [("r1+", 0)]):
+        with pytest.raises(ValidationError, match="do not increase by one"):
+            reidemeister_perturb(bad, moves=moves)
 
 
 def test_seeded_perturbation_preserves_knot_type():

@@ -39,7 +39,8 @@ SEEDS = [
 TWIST_KNOTS = {"3_1", "4_1", "5_2", "6_1", "7_2", "8_1", "10_1"}
 
 
-def main():
+def build_table():
+    """The seed table as text, built and checked record by record."""
     listed = paper_list()
     records = []
     seen = {}
@@ -60,12 +61,15 @@ def main():
         if name in listed:
             flags.add("persistently-laminar-paper-table")
         records.append(KnotRecord(name, pd, tup, frozenset(flags)))
+    return serialize_table(records)
 
-    text = serialize_table(records)
+
+def main():
+    text = build_table()
     out = SRC / "knotlab" / "data" / "knot_table.txt"
     out.write_text(text)
-    reloaded = load_table(str(out))
-    assert serialize_table(reloaded) == text
+    records = load_table(str(out))
+    assert serialize_table(records) == text
     print(f"wrote {len(records)} records to {out}")
     for rec in records:
         alex = " ".join(str(c) for c in rec.invariants.alexander.coeffs)
