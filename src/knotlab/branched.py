@@ -61,6 +61,7 @@ class BranchedSurfaceModel:
         object.__setattr__(
             self, "compressing_disks", tuple((str(d), str(b)) for d, b in self.compressing_disks)
         )
+        _check(self)
 
     def sector_ids(self):
         return [i for i, _ in self.sectors]
@@ -110,7 +111,6 @@ def build_bf(g):
 
 def branch_equations(model):
     """One integer row per branch curve: weight(merged) - the two sheet weights."""
-    _check(model)
     index = {sid: k for k, sid in enumerate(model.sector_ids())}
     rows = []
     for c in model.branch_curves:
@@ -122,11 +122,18 @@ def branch_equations(model):
     return rows
 
 
+# Fourier-Motzkin can square the inequality count at each step.  Models of 3-5
+# sectors peak below 500 inequalities and 5-sector 4-curve models near 24k;
+# 7-sector 7-curve models run for minutes past this bound.
+MAX_INEQUALITIES = 50_000
+
+
 def _feasible_positive(rows, n):
     """Exact check: does `rows * w = 0` admit a strictly positive rational w?
 
     Positivity is scale-invariant, so w_i >= 1 is imposed and the system is
-    decided by Fourier-Motzkin elimination over the rationals.
+    decided by Fourier-Motzkin elimination over the rationals.  Raises
+    ModelError when an elimination step would exceed MAX_INEQUALITIES.
     """
     if n == 0:
         return False
@@ -145,6 +152,12 @@ def _feasible_positive(rows, n):
                 neg.append((coeffs, const))
             else:
                 rest.append((coeffs, const))
+        size = len(rest) + len(pos) * len(neg)
+        if size > MAX_INEQUALITIES:
+            raise ModelError(
+                f"branch equations too large: eliminating sector {k + 1} of {n} "
+                f"needs {size} inequalities (limit {MAX_INEQUALITIES})"
+            )
         new = rest
         for pc, pk in pos:
             for nc, nk in neg:
@@ -167,7 +180,6 @@ def transversely_orientable(model):
     Union-find with parity: 'opposite' edges flip the coloring, 'same' edges
     preserve it; the model is orientable iff no constraint cycle is odd.
     """
-    _check(model)
     index = {sid: k for k, sid in enumerate(model.sector_ids())}
     uf = _ParityUnionFind(len(index))
     for c in model.branch_curves:
@@ -217,7 +229,6 @@ def persistence_certificate(model, incompressibility_certified):
     certificate.  Verdict: 'persistently-laminar' iff all five hold,
     'essential-only-unknown' if only the input flag is missing, else 'fails'.
     """
-    _check(model)
     embedded = all(c.self_intersections == 0 for c in model.branch_curves)
     no_closed = not carries_closed_surface(model)
     orientable = transversely_orientable(model)
@@ -245,7 +256,6 @@ def persistence_certificate(model, incompressibility_certified):
 
 
 def serialize_model(model):
-    _check(model)
     lines = []
     for sid, chi in model.sectors:
         lines.append(f"sector {sid} {chi}")
@@ -287,6 +297,4 @@ def parse_model(text):
             if isinstance(e, ModelError):
                 raise
             raise ModelError(f"line {ln}: cannot parse '{line}'") from e
-    model = BranchedSurfaceModel(sectors, curves, boundary, disks)
-    _check(model)
-    return model
+    return BranchedSurfaceModel(sectors, curves, boundary, disks)

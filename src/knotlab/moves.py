@@ -1,9 +1,11 @@
 """Reidemeister moves on wired diagrams.
 
 Moves are enumerated as deterministic candidate lists per kind ("r1+", "r1-",
-"r2+", "r2-", "r3") and applied to a StrandGraph; every application re-traces
-and re-validates the diagram, so a wiring mistake surfaces immediately instead
-of corrupting downstream invariants.
+"r2+", "r2-", "r3") and applied to a StrandGraph.  Every listed site is viable:
+a removal site is kept only when its splice would strand no crossingless loop.
+``apply_move`` re-traces and re-validates the diagram after its move, and a
+random perturbation validates its input and its output, so a wiring mistake
+surfaces before it can corrupt downstream invariants.
 
 Conventions used by the rewirings:
 
@@ -38,6 +40,14 @@ def _role_over(g, port):
     return port[1] in g.over_pair(port[0])
 
 
+def _spliceable(g, nodes):
+    try:
+        g.splice_pairs(nodes)
+    except WiringError:
+        return False
+    return True
+
+
 def _candidates_r1_add(g):
     return [(w, v) for w in g.wires() for v in range(4)]
 
@@ -69,7 +79,7 @@ def _candidates_r1_remove(g):
     for nid in sorted(g.over_vertical):
         for p in range(4):
             q = (p + 1) % 4
-            if g.conn.get((nid, p)) == (nid, q):
+            if g.conn.get((nid, p)) == (nid, q) and _spliceable(g, {nid}):
                 out.append((nid, (p, q)))
     return out
 
@@ -133,6 +143,8 @@ def _candidates_r2_remove(g):
             continue  # single wire doubling back
         if _role_over(g, h1) != _role_over(g, g.conn[h1]):
             continue  # strand changes level across the bigon
+        if not _spliceable(g, {n1, n2}):
+            continue
         out.append((h1, h2))
     out.sort()
     return out
@@ -255,18 +267,7 @@ def move_candidates(g, kind):
     """Viable move sites of one kind, in deterministic order."""
     if kind not in _ENUM:
         raise MoveError(f"unknown move kind {kind!r}")
-    sites = _ENUM[kind](g)
-    if kind in ("r1-", "r2-"):
-        viable = []
-        for site in sites:
-            probe = g.copy()
-            try:
-                _APPLY[kind](probe, site)
-            except WiringError:
-                continue
-            viable.append(site)
-        return viable
-    return sites
+    return _ENUM[kind](g)
 
 
 def apply_move(g, kind, index=0):

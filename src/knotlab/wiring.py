@@ -22,13 +22,6 @@ class StrandGraph:
         self.conn = {}
         self._next = 0
 
-    def copy(self):
-        h = StrandGraph()
-        h.over_vertical = dict(self.over_vertical)
-        h.conn = dict(self.conn)
-        h._next = self._next
-        return h
-
     def add_node(self, over_vertical=False):
         nid = self._next
         self._next += 1
@@ -72,56 +65,42 @@ class StrandGraph:
     def over_pair(self, nid):
         return (0, 2) if self.over_vertical[nid] else (1, 3)
 
-    def splice_out(self, removed):
-        """Delete a set of nodes, reconnecting every strand that passes through.
+    def splice_pairs(self, removed):
+        """Outside port pairs to wire together once the node set is deleted.
 
-        Raises WiringError if some strand through the set never leaves it
-        (deleting it would orphan a crossingless loop).
+        Each strand entering the set is walked once, until it leaves.  Raises
+        WiringError if some port of the set is never walked: a strand that
+        never leaves the set would be orphaned as a crossingless loop.
         """
-        removed = set(removed)
-        boundary = []
-        for nid in removed:
-            for p in range(4):
-                other = self.conn[(nid, p)]
-                if other[0] not in removed:
-                    boundary.append((nid, p))
-        # internal loops that never touch the outside are not representable
-        inner_ports = {
-            (nid, p)
-            for nid in removed
-            for p in range(4)
-            if self.conn[(nid, p)][0] in removed
-        }
         walked = set()
         pairs = []
-        for start in boundary:
-            if start in walked:
-                continue
-            walked.add(start)
-            outside_a = self.conn[start]
-            cur = start
-            while True:
-                nid, p = cur
-                out_port = (nid, (p + 2) % 4)
-                walked.add(out_port)
-                nxt = self.conn[out_port]
-                if nxt[0] not in removed:
-                    walked.add(cur)
-                    pairs.append((outside_a, nxt))
-                    break
-                walked.add(nxt)
-                cur = nxt
-        leftovers = inner_ports - walked
-        if leftovers:
+        for nid in removed:
+            for p in range(4):
+                start = (nid, p)
+                outside = self.conn[start]
+                if start in walked or outside[0] in removed:
+                    continue
+                cur = start
+                while True:
+                    out_port = (cur[0], (cur[1] + 2) % 4)
+                    walked.update((cur, out_port))
+                    cur = self.conn[out_port]
+                    if cur[0] not in removed:
+                        break
+                pairs.append((outside, cur))
+        if len(walked) < 4 * len(removed):
             raise WiringError("splice would strand a crossingless component")
+        return pairs
+
+    def splice_out(self, removed):
+        """Delete a set of nodes, reconnecting every strand that passes through."""
+        pairs = self.splice_pairs(removed)
         for nid in removed:
             for p in range(4):
                 if (nid, p) in self.conn:
                     self.disconnect((nid, p))
             self.remove_node(nid)
         for a, b in pairs:
-            if a == b:
-                raise WiringError("splice would close a crossingless component")
             self.connect(a, b)
 
     def faces(self):

@@ -219,6 +219,36 @@ def test_model_validation_errors():
         serialize_model(
             BranchedSurfaceModel([("A", -1)], [], [], [("D", "nowhere")])
         )
+    # the constructor checks the model by itself, so no invalid model exists
+    curve = BranchCurve("c", "A", ("A", "A"), 0, ("same", "same"))
+    for sectors, curves, boundary, disks in (
+        ([("A", -1)], [BranchCurve("c", "A", ("A", "Z"), 0, ("same", "same"))], [], []),
+        ([("A", -1), ("A", -2)], [], [], []),
+        ([("A", -1)], [curve, curve], [], []),
+        ([("A", -1)], [], [("F", 1, 1), ("F", 2, 1)], []),
+        ([("A", -1)], [], [("F", 1, 1)], [("D", "nowhere")]),
+    ):
+        with pytest.raises(ModelError):
+            BranchedSurfaceModel(sectors, curves, boundary, disks)
+
+
+def test_elimination_bound_is_a_domain_error(capsys, tmp_path):
+    from knotlab.cli import main
+
+    # 7 sectors, 7 curves: one elimination step would need millions of rows
+    rng = random.Random(4)
+    curves = []
+    for k in range(7):
+        merged, s1, s2 = (f"S{rng.randrange(7)}" for _ in range(3))
+        curves.append(BranchCurve(f"c{k}", merged, (s1, s2), 0, ("same", "same")))
+    model = BranchedSurfaceModel([(f"S{i}", -1) for i in range(7)], curves, [], [])
+    with pytest.raises(ModelError, match="too large"):
+        carries_closed_surface(model)
+    path = tmp_path / "big.model"
+    path.write_text(serialize_model(model), encoding="utf-8")
+    assert main(["bf", "--model", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "status error" in out and "too large" in out
 
 
 def test_empty_model_carries_nothing():

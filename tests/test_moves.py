@@ -1,11 +1,14 @@
 """Reidemeister moves: candidate enumeration, application, seeded rewrites."""
 
+import copy
+
 import pytest
 
 from knotlab.diagram import ValidationError, component_count, parse_pd, validate, writhe
 from knotlab.invariants import invariant_tuple
+from knotlab.knotdb import bundled_table
 from knotlab.moves import MOVE_KINDS, MoveError, apply_move, move_candidates, reidemeister_perturb
-from knotlab.wiring import StrandGraph
+from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
 TREFOIL_KEY = invariant_tuple(TREFOIL).key()
@@ -25,6 +28,57 @@ def test_candidates_on_reduced_trefoil():
     # nothing to remove on a reduced alternating diagram
     assert move_candidates(g, "r1-") == []
     assert move_candidates(g, "r2-") == []
+
+
+def _probed_removals(g, kind):
+    """Reference removal sites: every kink or same-level bigon whose splice,
+    tried on a deep copy of the graph, raises no WiringError."""
+    if kind == "r1-":
+        sites = [
+            ((nid, (p, (p + 1) % 4)), {nid})
+            for nid in sorted(g.over_vertical)
+            for p in range(4)
+            if g.conn[(nid, p)] == (nid, (p + 1) % 4)
+        ]
+    else:
+        sites = []
+        for face in g.faces() if len(g.over_vertical) >= 3 else []:
+            if len(face) != 2:
+                continue
+            h1, h2 = sorted(face)
+            e = g.conn[h1]
+            level = (h1[1] in g.over_pair(h1[0]), e[1] in g.over_pair(e[0]))
+            if h1[0] != h2[0] and e != h2 and level[0] == level[1]:
+                sites.append(((h1, h2), {h1[0], h2[0]}))
+        sites.sort(key=lambda s: s[0])
+    viable = []
+    for site, nodes in sites:
+        probe = copy.deepcopy(g)
+        try:
+            probe.splice_out(nodes)
+        except WiringError:
+            continue
+        viable.append(site)
+    return viable, len(sites)
+
+
+def test_removal_sites_match_probing_a_copy():
+    kink_pair = parse_pd("X 1,2,2,1")
+    diagrams = [TREFOIL, kink_pair]
+    for rec in bundled_table():
+        diagrams.extend(reidemeister_perturb(rec.pd, moves=8, seed=s) for s in range(3))
+    kept = refused = 0
+    for pd in diagrams:
+        g = StrandGraph.from_diagram(pd)
+        for kind in ("r1-", "r2-"):
+            want, tried = _probed_removals(g, kind)
+            assert move_candidates(g, kind) == want, (kind, pd)
+            kept += len(want)
+            refused += tried - len(want)
+    assert kept and refused
+    # both kinks of the one-crossing unknot would strand a crossingless loop
+    assert move_candidates(StrandGraph.from_diagram(kink_pair), "r1-") == []
+    assert _probed_removals(StrandGraph.from_diagram(kink_pair), "r1-")[1] == 2
 
 
 def test_r1_add_then_remove_round_trips():

@@ -78,8 +78,14 @@ def test_splice_out_reconnects_through_strands():
 
 def test_splice_out_refuses_stranded_loops():
     g = StrandGraph.from_diagram(parse_pd("X 1,2,2,1"))
+    conn, over_vertical = dict(g.conn), dict(g.over_vertical)
+    with pytest.raises(WiringError):
+        g.splice_pairs(set(g.over_vertical))
     with pytest.raises(WiringError):
         g.splice_out(set(g.over_vertical))
+    # the refusal is decided before any wire is touched
+    assert g.conn == conn
+    assert g.over_vertical == over_vertical
 
 
 def test_faces_counts_match_euler():
