@@ -48,7 +48,6 @@ from .invariants import (
 from .constructions import (
     ConstructionError,
     DoubleSpec,
-    Fraction,
     TwoBridgeFraction,
     cable2,
     cf_to_fraction,

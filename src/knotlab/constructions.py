@@ -56,9 +56,6 @@ class TwoBridgeFraction:
         return frozenset(members)
 
 
-Fraction = TwoBridgeFraction  # the former name, kept as an alias
-
-
 def cf_to_fraction(cf):
     """Evaluate a continued fraction left to right: v -> c + 1/v.
 

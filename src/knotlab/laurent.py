@@ -327,58 +327,82 @@ def det_laurent(rows):
     return -d if sign < 0 else d
 
 
+def _subtract_symmetric(live, touched, drop):
+    """live[k][l] -= drop(k, l) over the touched rows; drop is symmetric in k and l,
+    so each pair is computed once and written to both triangles."""
+    touched = list(touched)
+    for a, k in enumerate(touched):
+        row = live[k]
+        for l in touched[a:]:
+            d = drop(k, l)
+            if not d:
+                continue
+            e = row.get(l, 0) - d
+            if e:
+                row[l] = live[l][k] = e
+            else:
+                del row[l]
+                live[l].pop(k, None)
+
+
 def symmetric_signature(rows):
     """Signature of a symmetric integer matrix, exact.
 
-    Congruence-diagonalizes over Q and counts signs of the diagonal.
-    Rank deficiency contributes zero.
+    Sparse symmetric elimination over Q (an LDL^T), on one dict per row that,
+    by symmetry, is also its column.  Each step pivots on the nonzero diagonal
+    entry whose row has the fewest entries, the first such row on ties; when
+    no diagonal is left it takes the first off-diagonal pair (i, j) as the
+    2x2 pivot [[0, b], [b, 0]], which adds 0 (Bunch & Kaufman, Math. Comp.
+    31, 1977).  By Sylvester's law of inertia the signature is the count of
+    the 1x1 pivots' signs; rank deficiency contributes zero.
+
+    Raises ValueError when the matrix is not square or not symmetric.
     """
     n = len(rows)
-    m = [[Fraction(e) for e in r] for r in rows]
+    live = {}  # row index -> {column: nonzero int or Fraction}; empty rows are dropped
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError(f"row {i} has {len(r)} entries in a {n}-row matrix")
+        row = {j: e for j, e in enumerate(r) if e}
+        if row:
+            live[i] = row
+    for i, row in live.items():
+        for j, e in row.items():
+            if live.get(j, {}).get(i) != e:
+                raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) differ")
     sig = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            # look for a later nonzero diagonal entry to swap in
-            swapped = False
-            for i in range(k + 1, n):
-                if m[i][i] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    for r in m:
-                        r[k], r[i] = r[i], r[k]
-                    swapped = True
-                    break
-            if not swapped:
-                # all remaining diagonal entries vanish; use a hyperbolic pair
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if not found:
-                    break  # remaining block is zero
-                i, j = found
-                # basis change e_i <- e_i + e_j makes the (i,i) entry 2*m[i][j]
-                for r in m:
-                    r[i] += r[j]
-                row_j = m[j]
-                for col in range(n):
-                    m[i][col] += row_j[col]
-                if i != k:
-                    m[k], m[i] = m[i], m[k]
-                    for r in m:
-                        r[k], r[i] = r[i], r[k]
-        pivot = m[k][k]
-        if pivot == 0:
-            continue
-        sig += 1 if pivot > 0 else -1
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-                for j in range(k, n):
-                    m[j][i] -= f * m[j][k]
+    while live:
+        best = None
+        for i, row in live.items():
+            if i in row and (best is None or len(row) < len(live[best])):
+                best = i
+                if len(row) == 1:
+                    break  # nothing beats a pivot without fill-in
+        if best is not None:
+            prow = live.pop(best)
+            p = Fraction(prow.pop(best))
+            sig += 1 if p > 0 else -1
+            touched = prow.keys()
+            for k in touched:
+                del live[k][best]
+            _subtract_symmetric(live, touched, lambda k, l: prow[k] * prow[l] / p)
+        else:
+            i = next(iter(live))
+            j = min(live[i])
+            ri, rj = live.pop(i), live.pop(j)
+            b = Fraction(ri.pop(j))
+            del rj[i]
+            touched = ri.keys() | rj.keys()
+            for k in touched:
+                row = live[k]
+                row.pop(i, None)
+                row.pop(j, None)
+            # Schur complement of [[0, b], [b, 0]]: a_kl -= (a_ki a_jl + a_kj a_il) / b
+            _subtract_symmetric(
+                live, touched,
+                lambda k, l: (ri.get(k, 0) * rj.get(l, 0) + rj.get(k, 0) * ri.get(l, 0)) / b,
+            )
+        for k in touched:
+            if not live[k]:
+                del live[k]
     return sig

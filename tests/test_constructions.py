@@ -2,11 +2,11 @@
 
 import pytest
 
+from knotlab import constructions
 from knotlab.constructions import (
     MAX_CROSSINGS,
     ConstructionError,
     DoubleSpec,
-    Fraction,
     TwoBridgeFraction,
     cable2,
     cf_to_fraction,
@@ -26,11 +26,11 @@ TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
 
 
 def test_cf_to_fraction_values():
-    assert cf_to_fraction([2, 4]) == Fraction(9, 2)
-    assert cf_to_fraction([3]) == Fraction(3, 1)
-    assert cf_to_fraction([2, 2]) == Fraction(5, 2)
-    assert cf_to_fraction([3, 1, 3]) == Fraction(15, 4)
-    assert cf_to_fraction([-2]) == Fraction(2, 1)  # normalized to 0 <= q < p
+    assert cf_to_fraction([2, 4]) == TwoBridgeFraction(9, 2)
+    assert cf_to_fraction([3]) == TwoBridgeFraction(3, 1)
+    assert cf_to_fraction([2, 2]) == TwoBridgeFraction(5, 2)
+    assert cf_to_fraction([3, 1, 3]) == TwoBridgeFraction(15, 4)
+    assert cf_to_fraction([-2]) == TwoBridgeFraction(2, 1)  # normalized to 0 <= q < p
 
 
 def test_cf_to_fraction_errors():
@@ -46,21 +46,21 @@ def test_cf_to_fraction_errors():
 
 def test_fraction_validation():
     with pytest.raises(ConstructionError):
-        Fraction(4, 2)
+        TwoBridgeFraction(4, 2)
     with pytest.raises(ConstructionError):
-        Fraction(0, 1)
+        TwoBridgeFraction(0, 1)
     with pytest.raises(ConstructionError):
-        Fraction(3, 3)
-    assert Fraction(1, 0).p == 1
-    assert Fraction is TwoBridgeFraction  # the former name stays an alias
+        TwoBridgeFraction(3, 3)
+    assert TwoBridgeFraction(1, 0).p == 1
+    assert not hasattr(constructions, "Fraction")  # would shadow fractions.Fraction under import *
 
 
 def test_fraction_same_knot():
-    assert Fraction(7, 2).same_knot(Fraction(7, 4))  # 2*4 = 1 mod 7
-    assert Fraction(5, 2).same_knot(Fraction(5, 3))
-    assert not Fraction(3, 1).same_knot(Fraction(3, 2))  # mirror trefoils
-    assert Fraction(3, 1).same_knot(Fraction(3, 2), chirality=False)
-    assert not Fraction(5, 2).same_knot(Fraction(7, 2))
+    assert TwoBridgeFraction(7, 2).same_knot(TwoBridgeFraction(7, 4))  # 2*4 = 1 mod 7
+    assert TwoBridgeFraction(5, 2).same_knot(TwoBridgeFraction(5, 3))
+    assert not TwoBridgeFraction(3, 1).same_knot(TwoBridgeFraction(3, 2))  # mirror trefoils
+    assert TwoBridgeFraction(3, 1).same_knot(TwoBridgeFraction(3, 2), chirality=False)
+    assert not TwoBridgeFraction(5, 2).same_knot(TwoBridgeFraction(7, 2))
 
 
 def test_rational_knot_anchors():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from knotlab.constructions import rational_knot, torus_2n
+from knotlab.constructions import cable2, rational_knot, torus_2n
 from knotlab.diagram import ValidationError, mirror, parse_pd
 from knotlab.invariants import (
     _goeritz_determinant,
@@ -73,6 +73,14 @@ def test_signature_anchors():
 def test_signature_color_independent():
     for pd in (TREFOIL, FIG8, torus_2n(5), rational_knot([3, 4]), KINK):
         assert signature(pd, color="white") == signature(pd, color="black")
+
+
+def test_signature_of_large_forms():
+    """Goeritz forms of 400 and 190 rows, far larger than any table record."""
+    assert signature(torus_2n(401)) == -400
+    cable = cable2(cable2(cable2(TREFOIL, 1), 1), 1)
+    assert len(cable) == 353
+    assert signature(cable, "white") == signature(cable, "black")
 
 
 def test_determinant_two_routes():

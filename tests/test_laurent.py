@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from knotlab import laurent
 from knotlab.diagram import parse_pd
-from knotlab.invariants import alexander_matrix
+from knotlab.invariants import _goeritz, alexander_matrix
+from knotlab.knotdb import bundled_table
 from knotlab.moves import reidemeister_perturb
 from knotlab.laurent import (
     LaurentPoly,
@@ -208,3 +209,92 @@ def test_symmetric_signature_random_congruence():
         m = [[sum(u[i][k] * sym[k][l] for k in range(n)) for l in range(n)] for i in range(n)]
         m = [[sum(m[i][k] * u[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
         assert symmetric_signature(m) == base, (trial, sym)
+
+
+def _dense_signature(rows):
+    """Reference signature by dense congruence diagonalization over Q."""
+    n = len(rows)
+    m = [[Fraction(e) for e in r] for r in rows]
+    sig = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            # look for a later nonzero diagonal entry to swap in
+            swapped = False
+            for i in range(k + 1, n):
+                if m[i][i] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    for r in m:
+                        r[k], r[i] = r[i], r[k]
+                    swapped = True
+                    break
+            if not swapped:
+                # all remaining diagonal entries vanish; use a hyperbolic pair
+                found = None
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        if m[i][j] != 0:
+                            found = (i, j)
+                            break
+                    if found:
+                        break
+                if not found:
+                    break  # remaining block is zero
+                i, j = found
+                # basis change e_i <- e_i + e_j makes the (i,i) entry 2*m[i][j]
+                for r in m:
+                    r[i] += r[j]
+                row_j = m[j]
+                for col in range(n):
+                    m[i][col] += row_j[col]
+                if i != k:
+                    m[k], m[i] = m[i], m[k]
+                    for r in m:
+                        r[k], r[i] = r[i], r[k]
+        pivot = m[k][k]
+        if pivot == 0:
+            continue
+        sig += 1 if pivot > 0 else -1
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+                for j in range(k, n):
+                    m[j][i] -= f * m[j][k]
+    return sig
+
+
+def _rand_symmetric(rng, n):
+    """Sparse symmetric integer matrix; two in three have a zero diagonal, so
+    that elimination needs 2x2 pivots, and some have an all-zero block."""
+    zero_diagonal = rng.random() < 2 / 3
+    dead = set(rng.sample(range(n), rng.randint(0, n // 2))) if n else set()
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and zero_diagonal) or (i in dead and j in dead):
+                continue
+            if rng.random() < 0.4:
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return m
+
+
+def test_symmetric_signature_matches_dense_reference():
+    rng = random.Random(5)
+    cases = [_rand_symmetric(rng, rng.randint(0, 9)) for _ in range(1500)]
+    cases += [[[0] * 4 for _ in range(4)], [[1, 1], [1, 1]], [[0, 2, 0], [2, 0, 0], [0, 0, 0]]]
+    for rec in bundled_table():
+        for seed in range(3):
+            pd = reidemeister_perturb(rec.pd, moves=12, seed=seed)
+            cases += [_goeritz(pd, color)[0] for color in ("white", "black")]
+    for trial, rows in enumerate(cases):
+        assert symmetric_signature(rows) == _dense_signature(rows), (trial, rows)
+
+
+def test_symmetric_signature_rejects_malformed():
+    with pytest.raises(ValueError):
+        symmetric_signature([[1, 2], [3, 1]])
+    with pytest.raises(ValueError):
+        symmetric_signature([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        symmetric_signature([[0, 1, 0], [1, 0, 0]])
