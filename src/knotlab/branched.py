@@ -10,7 +10,6 @@ orientability constraint graph, and the boundary/disk bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Frac
 
 from .diagram import KnotlabError, _ParityUnionFind
 
@@ -132,40 +131,39 @@ def _feasible_positive(rows, n):
     """Exact check: does `rows * w = 0` admit a strictly positive rational w?
 
     Positivity is scale-invariant, so w_i >= 1 is imposed and the system is
-    decided by Fourier-Motzkin elimination over the rationals.  Raises
-    ModelError when an elimination step would exceed MAX_INEQUALITIES.
+    decided by Fourier-Motzkin elimination.  Each inequality is one integer
+    list [a_1, ..., a_n, c] read as a.w + c >= 0; eliminating w_k only
+    multiplies rows by positive integers and adds them, so no step divides.
+    Raises ModelError when an elimination step would exceed MAX_INEQUALITIES.
     """
     if n == 0:
         return False
     ineqs = []
     for r in rows:
-        ineqs.append(([Frac(c) for c in r], Frac(0)))
-        ineqs.append(([Frac(-c) for c in r], Frac(0)))
+        ineqs.append(r + [0])
+        ineqs.append([-c for c in r] + [0])
     for i in range(n):
-        ineqs.append(([Frac(1 if j == i else 0) for j in range(n)], Frac(-1)))
+        ineqs.append([1 if j == i else 0 for j in range(n)] + [-1])
     for k in range(n):
         pos, neg, rest = [], [], []
-        for coeffs, const in ineqs:
-            if coeffs[k] > 0:
-                pos.append((coeffs, const))
-            elif coeffs[k] < 0:
-                neg.append((coeffs, const))
+        for ineq in ineqs:
+            if ineq[k] > 0:
+                pos.append(ineq)
+            elif ineq[k] < 0:
+                neg.append(ineq)
             else:
-                rest.append((coeffs, const))
+                rest.append(ineq)
         size = len(rest) + len(pos) * len(neg)
         if size > MAX_INEQUALITIES:
             raise ModelError(
                 f"branch equations too large: eliminating sector {k + 1} of {n} "
                 f"needs {size} inequalities (limit {MAX_INEQUALITIES})"
             )
-        new = rest
-        for pc, pk in pos:
-            for nc, nk in neg:
-                a, b = pc[k], -nc[k]
-                coeffs = [a * nc[j] + b * pc[j] for j in range(n)]
-                new.append((coeffs, a * nk + b * pk))
-        ineqs = new
-    return all(const >= 0 for _, const in ineqs)
+        for p in pos:
+            for q in neg:
+                rest.append([p[k] * x - q[k] * y for x, y in zip(q, p)])
+        ineqs = rest
+    return all(ineq[n] >= 0 for ineq in ineqs)
 
 
 def carries_closed_surface(model):
@@ -293,8 +291,6 @@ def parse_model(text):
                 disks.append((disk, comp))
             else:
                 raise ModelError(f"line {ln}: unknown record '{kind}'")
-        except (ValueError, ModelError) as e:
-            if isinstance(e, ModelError):
-                raise
+        except ValueError as e:
             raise ModelError(f"line {ln}: cannot parse '{line}'") from e
     return BranchedSurfaceModel(sectors, curves, boundary, disks)

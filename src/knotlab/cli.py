@@ -155,11 +155,9 @@ def _cmd_bf(args):
         text, digest = _read_input(args.model)
         rep.add("input", digest)
         model = parse_model(text)
-    elif args.genus is not None:
+    else:
         rep.add("genus", args.genus)
         model = build_bf(args.genus)
-    else:
-        raise _Usage("bf requires --genus or --model")
     report = persistence_certificate(model, args.certified)
     rep.add("chi", model.euler_characteristic())
     for bid, genus, circles in model.horizontal_boundary:
@@ -234,10 +232,6 @@ def _cmd_paperlist(args):
     return 0
 
 
-class _Usage(Exception):
-    pass
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="knotlab",
@@ -273,8 +267,9 @@ def _build_parser():
     fam.add_argument("--n", type=int, required=True)
 
     b = sub.add_parser("bf", help="branched-surface model and certificate")
-    b.add_argument("--genus", type=int, default=None)
-    b.add_argument("--model", default=None, help="read a model file instead of building")
+    source = b.add_mutually_exclusive_group(required=True)
+    source.add_argument("--genus", type=int)
+    source.add_argument("--model", help="read a model file instead of building")
     b.add_argument("--certified", action="store_true",
                    help="assert the spanning surface's incompressibility certificate")
     b.add_argument("--out", default=None, help="also write the model file")
@@ -309,8 +304,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
-    except _Usage as e:
-        parser.error(str(e))
     except (KnotlabError, OSError) as e:
         rep = _Report(args.cmd)
         rep.add("error", str(e))

@@ -125,25 +125,21 @@ def _v_chain(g, count, positive):
 
 # Handedness conventions for twist regions, anchored by rational_knot([3])
 # being the positive trefoil and the determinant family
-# rational_knot([2,2m]) -> 4m+1.
-_H_POSITIVE = True
-_V_POSITIVE = True
-
-
+# rational_knot([2,2m]) -> 4m+1: a positive entry builds a positive chain.
 def _tangle_h(g, entry):
-    nw, ne, sw, se = _h_chain(g, abs(entry), (entry > 0) == _H_POSITIVE)
+    nw, ne, sw, se = _h_chain(g, abs(entry), entry > 0)
     return _Tangle(g, nw, ne, sw, se)
 
 
 def _tangle_v(g, entry):
-    nw, ne, sw, se = _v_chain(g, abs(entry), (entry > 0) == _V_POSITIVE)
+    nw, ne, sw, se = _v_chain(g, abs(entry), entry > 0)
     return _Tangle(g, nw, ne, sw, se)
 
 
 def _twist_bottom(t, entry):
     if entry == 0:
         return t
-    nw, ne, sw, se = _v_chain(t.g, abs(entry), (entry > 0) == _V_POSITIVE)
+    nw, ne, sw, se = _v_chain(t.g, abs(entry), entry > 0)
     t.g.connect(t.sw, nw)
     t.g.connect(t.se, ne)
     t.sw, t.se = sw, se
@@ -153,7 +149,7 @@ def _twist_bottom(t, entry):
 def _twist_right(t, entry):
     if entry == 0:
         return t
-    nw, ne, sw, se = _h_chain(t.g, abs(entry), (entry > 0) == _H_POSITIVE)
+    nw, ne, sw, se = _h_chain(t.g, abs(entry), entry > 0)
     t.g.connect(t.ne, nw)
     t.g.connect(t.se, sw)
     t.ne, t.se = ne, se
@@ -229,7 +225,7 @@ def pretzel(p, q, r):
     g = StrandGraph()
     cols = []
     for entry in (p, q, r):
-        nw, ne, sw, se = _v_chain(g, abs(entry), (entry > 0) == _V_POSITIVE)
+        nw, ne, sw, se = _v_chain(g, abs(entry), entry > 0)
         cols.append((nw, ne, sw, se))
     for (l_nw, l_ne, l_sw, l_se), (r_nw, r_ne, r_sw, r_se) in zip(cols, cols[1:]):
         g.connect(l_ne, r_nw)

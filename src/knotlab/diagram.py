@@ -317,7 +317,9 @@ def _resolve(pd):
     return r
 
 
-@lru_cache(maxsize=4096)
+# A diagram is reused only within one call chain (plus the table records), so
+# 64 entries keep nearly every hit; each entry holds ~15 KB.
+@lru_cache(maxsize=64)
 def _res(pd):
     return _resolve(pd)
 

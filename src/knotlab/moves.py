@@ -92,15 +92,13 @@ def _apply_r1_remove(g, site):
 def _candidates_r2_add(g):
     out = []
     for face in g.faces():
-        if len(face) < 2:
-            continue
         for i, h1 in enumerate(face):
             for h2 in face[i + 1 :]:
-                if g.conn[h1] == h2 or g.conn[h2] == h1:
+                if g.conn[h1] == h2:
                     continue  # same wire seen from both sides
                 for variant in ("over", "under"):
                     out.append((h1, h2, variant))
-    out.sort(key=lambda s: (s[0], s[1], s[2]))
+    out.sort()
     return out
 
 

@@ -28,9 +28,6 @@ class StrandGraph:
         self.over_vertical[nid] = over_vertical
         return nid
 
-    def port(self, nid, p):
-        return (nid, p % 4)
-
     def connect(self, u, v):
         if u == v:
             raise WiringError("cannot wire a port to itself")

@@ -2,13 +2,16 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from knotlab import branched
 from knotlab.branched import (
     BranchCurve,
     BranchedSurfaceModel,
     ModelError,
+    _feasible_positive,
     branch_equations,
     build_bf,
     carries_closed_surface,
@@ -242,13 +245,85 @@ def test_elimination_bound_is_a_domain_error(capsys, tmp_path):
         merged, s1, s2 = (f"S{rng.randrange(7)}" for _ in range(3))
         curves.append(BranchCurve(f"c{k}", merged, (s1, s2), 0, ("same", "same")))
     model = BranchedSurfaceModel([(f"S{i}", -1) for i in range(7)], curves, [], [])
-    with pytest.raises(ModelError, match="too large"):
+    with pytest.raises(ModelError) as err:
         carries_closed_surface(model)
+    assert str(err.value) == (
+        "branch equations too large: eliminating sector 5 of 7 "
+        "needs 3565956 inequalities (limit 50000)"
+    )
     path = tmp_path / "big.model"
     path.write_text(serialize_model(model), encoding="utf-8")
     assert main(["bf", "--model", str(path)]) == 1
     out = capsys.readouterr().out
     assert "status error" in out and "too large" in out
+
+
+def _fraction_feasible_positive(rows, n):
+    """Reference decision: Fourier-Motzkin with every coefficient a Fraction."""
+    if n == 0:
+        return False
+    ineqs = []
+    for r in rows:
+        ineqs.append(([Fraction(c) for c in r], Fraction(0)))
+        ineqs.append(([Fraction(-c) for c in r], Fraction(0)))
+    for i in range(n):
+        ineqs.append(([Fraction(1 if j == i else 0) for j in range(n)], Fraction(-1)))
+    for k in range(n):
+        pos, neg, rest = [], [], []
+        for coeffs, const in ineqs:
+            if coeffs[k] > 0:
+                pos.append((coeffs, const))
+            elif coeffs[k] < 0:
+                neg.append((coeffs, const))
+            else:
+                rest.append((coeffs, const))
+        size = len(rest) + len(pos) * len(neg)
+        if size > branched.MAX_INEQUALITIES:
+            raise ModelError(
+                f"branch equations too large: eliminating sector {k + 1} of {n} "
+                f"needs {size} inequalities (limit {branched.MAX_INEQUALITIES})"
+            )
+        new = rest
+        for pc, pk in pos:
+            for nc, nk in neg:
+                a, b = pc[k], -nc[k]
+                coeffs = [a * nc[j] + b * pc[j] for j in range(n)]
+                new.append((coeffs, a * nk + b * pk))
+        ineqs = new
+    return all(const >= 0 for _, const in ineqs)
+
+
+def _outcome(solver, rows, n):
+    try:
+        return solver(rows, n)
+    except ModelError as e:
+        return str(e)
+
+
+def test_feasible_positive_matches_fraction_reference(monkeypatch):
+    """Integer elimination decides and refuses exactly as the Fraction one.
+
+    A limit of 1,000 keeps the Fraction reference near a second: at 50,000 a
+    few systems grow tens of thousands of Fraction rows, and these 300 take
+    ~15 s on a 2-core machine.
+    """
+    monkeypatch.setattr(branched, "MAX_INEQUALITIES", 1000)
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            row = [0] * n
+            merged, s1, s2 = (rng.randrange(n) for _ in range(3))
+            row[merged] += 1
+            row[s1] -= 1
+            row[s2] -= 1
+            rows.append(row)
+        want = _outcome(_fraction_feasible_positive, rows, n)
+        assert _outcome(_feasible_positive, rows, n) == want, (trial, rows)
+        seen.add(want if isinstance(want, bool) else "refused")
+    assert seen == {True, False, "refused"}
 
 
 def test_empty_model_carries_nothing():

@@ -151,9 +151,12 @@ def test_bf_model_round_trip(capsys, tmp_path):
 
 
 def test_bf_requires_genus_or_model(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["bf"])
-    assert err.value.code == 2
+    # a model comes from exactly one source: neither or both is a usage error
+    for argv in (["bf"], ["bf", "--genus", "5", "--model", "g1.model"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_identify_table_sources(capsys, monkeypatch, tmp_path, trefoil_file):

@@ -1,0 +1,39 @@
+"""The benchmark's layer tracer binds library names; renaming one must fail here.
+
+`perfbench/layers.py` wraps each layer's entry function under the module
+attribute its caller looks up.  A renamed or removed name would otherwise
+pass every library test and break only a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lookup(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_tracer_binds_every_boundary():
+    layers = _load_layers()
+    before = [_lookup(m, attr) for m, attr, _, _ in layers.BOUNDARIES]
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        wrapped = [_lookup(m, attr) for m, attr, _, _ in layers.BOUNDARIES]
+    finally:
+        tracer.uninstall()
+    assert all(w is not b for w, b in zip(wrapped, before))
+    assert [_lookup(m, attr) for m, attr, _, _ in layers.BOUNDARIES] == before
