@@ -7,6 +7,14 @@ a removal site is kept only when its splice would strand no crossingless loop.
 random perturbation validates its input and its output, so a wiring mistake
 surfaces before it can corrupt downstream invariants.
 
+A random move picks a kind uniformly among the kinds that have sites, then a
+site uniformly in that kind's deterministic candidate order.  The faces are
+traced once per graph state (``StrandGraph.faces`` remembers them until the
+next mutation) and every kind reads that one trace.  r1+ and r2+ sites, the
+many, are counted and only the drawn one is built; it is the site
+``move_candidates`` lists at the drawn index, so the listed and the drawn
+sites are the same.
+
 Conventions used by the rewirings:
 
 * r1+  cuts a wire and inserts a one-crossing loop; four variants cover both
@@ -76,11 +84,11 @@ def _apply_r1_add(g, site):
 
 def _candidates_r1_remove(g):
     out = []
-    for nid in sorted(g.over_vertical):
-        for p in range(4):
-            q = (p + 1) % 4
-            if g.conn.get((nid, p)) == (nid, q) and _spliceable(g, {nid}):
-                out.append((nid, (p, q)))
+    for face in g.faces():
+        if len(face) == 1 and _spliceable(g, {face[0][0]}):
+            nid, p = face[0]  # a kink is a monogon: (nid, p) wired to (nid, p + 1)
+            out.append((nid, (p, (p + 1) % 4)))
+    out.sort()
     return out
 
 
@@ -89,17 +97,41 @@ def _apply_r1_remove(g, site):
     g.splice_out({nid})
 
 
+def _count_r2_add(g):
+    """len(_candidates_r2_add(g)): two variants per pair of sides of a face,
+    less the pairs that are one wire seen from both sides (a wire bounds one
+    face on both sides only in a rotation system that is not planar)."""
+    faces = g.faces()
+    face_of = {h: f for f, face in enumerate(faces) for h in face}
+    same_wire = sum(face_of[h] == face_of[e] for h, e in g.conn.items()) // 2
+    return 2 * (sum(len(face) * (len(face) - 1) // 2 for face in faces) - same_wire)
+
+
+def _r2_add_sites(g, skip=0):
+    """The r2+ sites (h1, h2, variant) in sorted order, from the skip-th on.
+
+    h2 is a side of h1's face later in the face than h1, other than h1's own
+    wire seen from its far side.  Walking h1 over the ports in sorted order
+    yields every site in sorted order, and the sites of an h1 wholly before
+    the skip-th are counted, never built.
+    """
+    faces = g.faces()
+    where = {h: (f, i) for f, face in enumerate(faces) for i, h in enumerate(face)}
+    for h1 in sorted(where):
+        f, i = where[h1]
+        face = faces[f]
+        e = g.conn[h1]
+        block = 2 * (len(face) - 1 - i - (where[e][0] == f and where[e][1] > i))
+        if skip >= block:
+            skip -= block
+            continue
+        sites = [(h1, h2, v) for h2 in sorted(face[i + 1 :]) if h2 != e for v in ("over", "under")]
+        yield from sites[skip:]
+        skip = 0
+
+
 def _candidates_r2_add(g):
-    out = []
-    for face in g.faces():
-        for i, h1 in enumerate(face):
-            for h2 in face[i + 1 :]:
-                if g.conn[h1] == h2:
-                    continue  # same wire seen from both sides
-                for variant in ("over", "under"):
-                    out.append((h1, h2, variant))
-    out.sort()
-    return out
+    return list(_r2_add_sites(g))
 
 
 def _apply_r2_add(g, site):
@@ -268,8 +300,14 @@ def move_candidates(g, kind):
     return _ENUM[kind](g)
 
 
+def _is_non_negative_int(n):
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def apply_move(g, kind, index=0):
     """Apply the index-th candidate of the given kind in place."""
+    if not _is_non_negative_int(index):
+        raise MoveError(f"move site index must be a non-negative integer, not {index!r}")
     sites = move_candidates(g, kind)
     if index >= len(sites):
         raise MoveError(f"no {kind} move at site index {index}")
@@ -279,32 +317,70 @@ def apply_move(g, kind, index=0):
         raise MoveError(f"{kind} produced an invalid diagram: {report.failures}")
 
 
+def _counted_sites(g, kind):
+    """(number of sites, site at an index) of one kind, as move_candidates
+    lists them; r1+ and r2+ sites, the many, are built only when asked for."""
+    if kind == "r1+":
+        return 2 * len(g.conn), lambda i: (g.wires()[i // 4], i % 4)
+    if kind == "r2+":
+        return _count_r2_add(g), lambda i: next(_r2_add_sites(g, i))
+    sites = move_candidates(g, kind)
+    return len(sites), sites.__getitem__
+
+
+def _random_step(g, rng, cap):
+    """Apply one random move: a kind uniformly among the kinds that have
+    sites, then a site uniformly in that kind's candidate order."""
+    options = []
+    size = len(g.over_vertical)
+    for kind in MOVE_KINDS:
+        if kind.endswith("+") and size + 2 > cap:
+            continue
+        n, pick = _counted_sites(g, kind)
+        if n:
+            options.append((kind, n, pick))
+    if not options:
+        raise MoveError("no applicable moves")
+    kind, n, pick = options[rng.randrange(len(options))]
+    _APPLY[kind](g, pick(rng.randrange(n)))
+
+
+def _move_pairs(moves):
+    """An explicit move sequence as a list of (kind, site_index) pairs."""
+    try:
+        pairs = [tuple(m) for m in moves]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(m) != 2 for m in pairs):
+        raise MoveError(f"moves must be a count or (kind, site_index) pairs, not {moves!r}")
+    return pairs
+
+
 def reidemeister_perturb(pd, moves=10, seed=0):
     """Rewrite a diagram by Reidemeister moves, preserving the knot type.
 
     ``moves`` is either a count of random moves (driven by ``seed``) or an
-    explicit sequence of ``(kind, site_index)`` pairs.  Raises MoveError when
-    an explicit move is inapplicable, and ValidationError on an invalid input
-    diagram (tracing the graph renumbers every edge, which would hide it).
+    explicit sequence of ``(kind, site_index)`` pairs; anything else raises
+    MoveError.  Each random move picks a kind uniformly among the kinds that
+    have sites (r1+ and r2+ only while the diagram stays within
+    max(2n, n + 8) crossings for an n-crossing input), then a site uniformly
+    in the kind's ``move_candidates`` order.  The faces are traced once per
+    graph state, and r1+ and r2+ sites are counted and only the drawn one is
+    built; it is the site ``move_candidates`` lists at the drawn index.
+
+    Raises MoveError when an explicit move is inapplicable, and
+    ValidationError on an invalid input diagram (tracing the graph renumbers
+    every edge, which would hide it).
     """
+    if not _is_non_negative_int(moves):
+        moves = _move_pairs(moves)
     _valid(pd)
     g = StrandGraph.from_diagram(pd)
     if isinstance(moves, int):
         rng = random.Random(seed)
         cap = max(2 * len(pd), len(pd) + 8)
         for _ in range(moves):
-            options = []
-            size = len(g.over_vertical)
-            for kind in MOVE_KINDS:
-                if kind.endswith("+") and size + 2 > cap:
-                    continue
-                sites = move_candidates(g, kind)
-                if sites:
-                    options.append((kind, sites))
-            if not options:
-                raise MoveError("no applicable moves")
-            kind, sites = options[rng.randrange(len(options))]
-            _APPLY[kind](g, sites[rng.randrange(len(sites))])
+            _random_step(g, rng, cap)
     else:
         for kind, index in moves:
             apply_move(g, kind, index)

@@ -17,15 +17,23 @@ class WiringError(KnotlabError):
 
 
 class StrandGraph:
+    """Nodes and wires, mutated only through the methods below.
+
+    The face trace is remembered until the next mutation, so every move kind
+    enumerated on one graph state reads the same trace.
+    """
+
     def __init__(self):
         self.over_vertical = {}
         self.conn = {}
         self._next = 0
+        self._faces = None
 
     def add_node(self, over_vertical=False):
         nid = self._next
         self._next += 1
         self.over_vertical[nid] = over_vertical
+        self._faces = None
         return nid
 
     def connect(self, u, v):
@@ -35,10 +43,12 @@ class StrandGraph:
             raise WiringError(f"port already wired: {u if u in self.conn else v}")
         self.conn[u] = v
         self.conn[v] = u
+        self._faces = None
 
     def disconnect(self, u):
         v = self.conn.pop(u)
         del self.conn[v]
+        self._faces = None
         return v
 
     def remove_node(self, nid):
@@ -46,6 +56,7 @@ class StrandGraph:
             if (nid, p) in self.conn:
                 raise WiringError("remove_node on a wired node")
         del self.over_vertical[nid]
+        self._faces = None
 
     def wires(self):
         """Deterministic list of wires as ordered port pairs (u < v)."""
@@ -101,8 +112,13 @@ class StrandGraph:
             self.connect(a, b)
 
     def faces(self):
-        """Face orbits of the rotation system as tuples of departure ports."""
-        return _face_orbits(self.conn, sorted(self.over_vertical))
+        """Face orbits of the rotation system as tuples of departure ports.
+
+        Traced once per graph state; callers must not mutate the list.
+        """
+        if self._faces is None:
+            self._faces = _face_orbits(self.conn, sorted(self.over_vertical))
+        return self._faces
 
     @classmethod
     def from_diagram(cls, pd):

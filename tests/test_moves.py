@@ -1,13 +1,29 @@
 """Reidemeister moves: candidate enumeration, application, seeded rewrites."""
 
 import copy
+import hashlib
 
 import pytest
 
-from knotlab.diagram import ValidationError, component_count, parse_pd, validate, writhe
+from knotlab.diagram import (
+    ValidationError,
+    component_count,
+    parse_pd,
+    serialize_pd,
+    validate,
+    writhe,
+)
 from knotlab.invariants import invariant_tuple
 from knotlab.knotdb import bundled_table
-from knotlab.moves import MOVE_KINDS, MoveError, apply_move, move_candidates, reidemeister_perturb
+from knotlab.moves import (
+    MOVE_KINDS,
+    MoveError,
+    _counted_sites,
+    _r2_add_sites,
+    apply_move,
+    move_candidates,
+    reidemeister_perturb,
+)
 from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
@@ -127,6 +143,34 @@ def test_apply_move_bad_index():
         apply_move(g, "r1+", 10 ** 6)
 
 
+def test_apply_move_rejects_negative_index():
+    g = StrandGraph.from_diagram(TREFOIL)
+    with pytest.raises(MoveError, match="-1"):
+        apply_move(g, "r1+", -1)
+    assert len(g.to_diagram()) == 3  # no site was applied
+
+
+def test_apply_move_rejects_non_integer_index():
+    g = StrandGraph.from_diagram(TREFOIL)
+    with pytest.raises(MoveError, match="'0'"):
+        apply_move(g, "r1+", "0")
+
+
+def test_perturbation_rejects_negative_move_count():
+    with pytest.raises(MoveError, match="-2"):
+        reidemeister_perturb(TREFOIL, moves=-2)
+
+
+def test_perturbation_rejects_fractional_move_count():
+    with pytest.raises(MoveError, match="1.5"):
+        reidemeister_perturb(TREFOIL, moves=1.5)
+
+
+def test_perturbation_rejects_malformed_move_pair():
+    with pytest.raises(MoveError, match=r"\('r1\+',\)"):
+        reidemeister_perturb(TREFOIL, moves=[("r1+",)])
+
+
 def test_explicit_move_sequence():
     out = reidemeister_perturb(TREFOIL, moves=[("r1+", 0), ("r2+", 3), ("r1-", 0)])
     assert len(out) == 5
@@ -159,3 +203,31 @@ def test_perturbation_is_deterministic_per_seed():
     assert a == b
     c = reidemeister_perturb(TREFOIL, moves=9, seed=6)
     assert a != c  # different seeds explore different rewrites
+
+
+def test_perturbation_outputs_are_pinned():
+    # any change to the candidate order or to the draw changes this digest
+    h = hashlib.sha256()
+    for rec in bundled_table():
+        for seed in range(8):
+            for moves in (6, 12):
+                h.update(serialize_pd(reidemeister_perturb(rec.pd, moves=moves, seed=seed)).encode())
+    assert h.hexdigest() == "3aed8255de230a7fdecd1691411a41be5a4fc5d644ee568a6acfa2e3ddcce9b2"
+
+
+def test_counted_sites_match_the_candidate_lists():
+    # a planar diagram has no wire with one face on both sides; this torus-like
+    # rotation system has two, so the skipped same-wire pairs are counted too
+    diagrams = [TREFOIL, parse_pd("X 1,2,1,2")]
+    for rec in bundled_table():
+        diagrams.append(rec.pd)
+        diagrams.extend(reidemeister_perturb(rec.pd, moves=6, seed=s) for s in range(3))
+    for pd in diagrams:
+        g = StrandGraph.from_diagram(pd)
+        for kind in MOVE_KINDS:
+            sites = move_candidates(g, kind)
+            n, pick = _counted_sites(g, kind)
+            assert n == len(sites), (kind, pd)
+            assert [pick(i) for i in range(n)] == sites, (kind, pd)
+        r2_add = move_candidates(g, "r2+")
+        assert list(_r2_add_sites(g, len(r2_add) // 3)) == r2_add[len(r2_add) // 3 :]

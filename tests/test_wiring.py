@@ -2,9 +2,9 @@
 
 import pytest
 
-from knotlab.diagram import faces, parse_pd, serialize_pd, validate
+from knotlab.diagram import _face_orbits, faces, parse_pd, serialize_pd, validate
 from knotlab.knotdb import bundled_table
-from knotlab.moves import reidemeister_perturb
+from knotlab.moves import apply_move, reidemeister_perturb
 from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
@@ -100,3 +100,45 @@ def test_faces_counts_match_euler():
         got = StrandGraph.from_diagram(pd).faces()
         assert len(got) == len(pd) + 2
         assert tuple(got) == faces(pd), pd
+
+
+def _assert_fresh_faces(g):
+    """g.faces() is what a fresh trace of the current wiring gives; a graph
+    with an unwired port has no faces, and must not answer from a stale trace."""
+    try:
+        want = _face_orbits(g.conn, sorted(g.over_vertical))
+    except KeyError:
+        with pytest.raises(KeyError):
+            g.faces()
+    else:
+        assert g.faces() == want
+
+
+def test_faces_are_forgotten_on_every_mutation():
+    g = StrandGraph.from_diagram(TREFOIL)
+    _assert_fresh_faces(g)
+    k = g.add_node()
+    _assert_fresh_faces(g)
+    g.remove_node(k)
+    _assert_fresh_faces(g)
+    u = (0, 0)
+    v = g.disconnect(u)
+    _assert_fresh_faces(g)
+    g.connect(u, v)
+    _assert_fresh_faces(g)
+
+    kinked = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=[("r1+", 0)]))
+    _assert_fresh_faces(kinked)
+    kink = next(
+        n for n in kinked.over_vertical if any(kinked.conn[(n, p)][0] == n for p in range(4))
+    )
+    kinked.splice_out({kink})
+    _assert_fresh_faces(kinked)
+    assert len(kinked.faces()) == len(TREFOIL) + 2
+
+    # this seeded rewrite has sites of all five kinds
+    g = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=8, seed=3))
+    for kind in ("r3", "r2-", "r1-", "r1+", "r2+"):
+        _assert_fresh_faces(g)
+        apply_move(g, kind, 0)
+        _assert_fresh_faces(g)
