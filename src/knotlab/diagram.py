@@ -179,7 +179,6 @@ class _Resolved:
         "head",
         "components",
         "signs",
-        "over_in_slot",
         "faces",
         "face_of_corner",
     )
@@ -217,7 +216,7 @@ def _resolve(pd):
     for u, v in occ.values():
         (ci, s), (c2, s2) = (u, v) if u[1] % 2 else (v, u)  # an over end first, if any
         if s % 2 == 0:
-            continue  # two under ends; set_role reports them
+            continue  # two under ends; the head and tail pass reports them
         if s2 % 2:
             # two over ends: equal slots need opposite choices
             joined = orient.union(ci, c2, s == s2)
@@ -238,45 +237,26 @@ def _resolve(pd):
             # a component lying entirely over: labels increase along the strand
             choice.append(x.d == x.b + 1 if abs(x.b - x.d) == 1 else x.b > x.d)
 
+    # In and out ends: slots 0 and 2, then 1 and 3 when the choice holds, else 3 and 1.
     head = {}
     tail = {}
-
-    def set_role(e, ci, s, role):
-        target = head if role == "head" else tail
-        if e in target:
-            failures.append(f"edge {e} has two {role} ends")
-            return False
-        target[e] = (ci, s)
-        return True
-
-    ok_roles = True
+    succ = {}  # successor along the strand: the edge leaving the crossing this edge enters
     for ci, x in enumerate(pd.crossings):
-        ok_roles &= set_role(x.a, ci, 0, "head")
-        ok_roles &= set_role(x.c, ci, 2, "tail")
-        if choice[ci]:
-            ok_roles &= set_role(x.b, ci, 1, "head")
-            ok_roles &= set_role(x.d, ci, 3, "tail")
-        else:
-            ok_roles &= set_role(x.d, ci, 3, "head")
-            ok_roles &= set_role(x.b, ci, 1, "tail")
-    if not ok_roles or len(head) != ne or len(tail) != ne:
-        if not failures:
-            failures.append("orientation resolution failed")
+        over = ((x.b, 1), (x.d, 3)) if choice[ci] else ((x.d, 3), (x.b, 1))
+        for (e_in, s_in), (e_out, s_out) in (((x.a, 0), (x.c, 2)), over):
+            if e_in in head:
+                failures.append(f"edge {e_in} has two head ends")
+            if e_out in tail:
+                failures.append(f"edge {e_out} has two tail ends")
+            head[e_in] = (ci, s_in)
+            tail[e_out] = (ci, s_out)
+            succ[e_in] = e_out
+    if failures:
         r.ok = False
         r.failures = tuple(failures)
         return r
     r.head = head
-    r.over_in_slot = [1 if ch else 3 for ch in choice]
     r.signs = [1 if ch else -1 for ch in choice]
-
-    # successor along the strand: the edge leaving the crossing this edge enters
-    succ = {}
-    for ci, x in enumerate(pd.crossings):
-        succ[x.a] = x.c
-        if choice[ci]:
-            succ[x.b] = x.d
-        else:
-            succ[x.d] = x.b
 
     # strand components; each must be a cyclic run lo, lo+1, ..., hi
     components = _orbits(succ, range(1, ne + 1))
@@ -371,7 +351,7 @@ def mirror(pd):
     rr = _valid(pd)
     out = []
     for ci, x in enumerate(pd.crossings):
-        if rr.over_in_slot[ci] == 1:
+        if rr.signs[ci] > 0:
             out.append(Crossing(x.b, x.c, x.d, x.a))
         else:
             out.append(Crossing(x.d, x.a, x.b, x.c))

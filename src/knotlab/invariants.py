@@ -162,36 +162,19 @@ def _goeritz_determinant(pd, color="white"):
     return abs(det_int(reduced))
 
 
-def _cross_checked_determinant(delta, reduced):
-    """|delta(-1)| and |det(reduced Goeritz form)|, which must agree."""
-    from_alexander = abs(delta.evaluate(-1))
-    from_goeritz = abs(det_int(reduced))
-    if from_alexander != from_goeritz:
-        raise InconsistencyError(
-            f"determinant mismatch: |Alexander(-1)| = {from_alexander}, "
-            f"Goeritz = {from_goeritz}"
-        )
-    return from_alexander
-
-
 def determinant(pd):
-    """Knot determinant, cross-checked between two independent routes."""
-    _require_knot(pd)
-    return _cross_checked_determinant(alexander(pd), _goeritz(pd, "white")[0])
-
-
-def _half_span(delta):
-    if delta.span % 2:
-        raise InconsistencyError("Alexander span of a knot is odd")
-    return delta.span // 2
+    """Knot determinant: |Alexander(-1)|, which must equal |det| of the Goeritz form."""
+    return invariant_tuple(pd).determinant
 
 
 def genus_lower_bound(pd):
-    return _half_span(alexander(pd))
+    """Half the span of the Alexander polynomial."""
+    return invariant_tuple(pd).genus_lower_bound
 
 
 def invariant_tuple(pd):
-    """All four invariants from one Alexander polynomial and one Goeritz form."""
+    """All four invariants from one Alexander polynomial and one Goeritz form,
+    each consistency check made once."""
     delta = alexander(pd)
     at_one = delta.evaluate(1)
     if at_one not in (1, -1):
@@ -199,8 +182,15 @@ def invariant_tuple(pd):
     if not delta.is_palindromic():
         raise InconsistencyError(f"Alexander polynomial not palindromic: {delta}")
     reduced, mu = _goeritz(pd, "white")
-    det = _cross_checked_determinant(delta, reduced)
+    det = abs(delta.evaluate(-1))
+    from_goeritz = abs(det_int(reduced))
+    if det != from_goeritz:
+        raise InconsistencyError(
+            f"determinant mismatch: |Alexander(-1)| = {det}, Goeritz = {from_goeritz}"
+        )
     sig = symmetric_signature(reduced) - mu
     if sig % 2:
         raise InconsistencyError(f"odd knot signature {sig}")
-    return InvariantTuple(delta, det, sig, _half_span(delta))
+    if delta.span % 2:
+        raise InconsistencyError("Alexander span of a knot is odd")
+    return InvariantTuple(delta, det, sig, delta.span // 2)

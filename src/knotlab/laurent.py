@@ -327,34 +327,17 @@ def det_laurent(rows):
     return -d if sign < 0 else d
 
 
-def _subtract_symmetric(live, touched, drop):
-    """live[k][l] -= drop(k, l) over the touched rows; drop is symmetric in k and l,
-    so each pair is computed once and written to both triangles."""
-    touched = list(touched)
-    for a, k in enumerate(touched):
-        row = live[k]
-        for l in touched[a:]:
-            d = drop(k, l)
-            if not d:
-                continue
-            e = row.get(l, 0) - d
-            if e:
-                row[l] = live[l][k] = e
-            else:
-                del row[l]
-                live[l].pop(k, None)
-
-
 def symmetric_signature(rows):
     """Signature of a symmetric integer matrix, exact.
 
     Sparse symmetric elimination over Q (an LDL^T), on one dict per row that,
-    by symmetry, is also its column.  Each step pivots on the nonzero diagonal
-    entry whose row has the fewest entries, the first such row on ties; when
-    no diagonal is left it takes the first off-diagonal pair (i, j) as the
-    2x2 pivot [[0, b], [b, 0]], which adds 0 (Bunch & Kaufman, Math. Comp.
-    31, 1977).  By Sylvester's law of inertia the signature is the count of
-    the 1x1 pivots' signs; rank deficiency contributes zero.
+    by symmetry, is also its column, and that stores no zero.  Each step
+    pivots on the nonzero diagonal entry whose row has the fewest entries,
+    the first such row on ties.  When no diagonal is left, it takes the first
+    off-diagonal pair (i, j) and adds row and column j to row and column i,
+    a congruence of determinant 1 that makes a_ii = 2 a_ij nonzero; i then
+    pivots.  By Sylvester's law of inertia the signature is the count of the
+    pivots' signs; rank deficiency contributes zero.
 
     Raises ValueError when the matrix is not square or not symmetric.
     """
@@ -372,36 +355,44 @@ def symmetric_signature(rows):
                 raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) differ")
     sig = 0
     while live:
-        best = None
+        best, size = None, n + 1
         for i, row in live.items():
-            if i in row and (best is None or len(row) < len(live[best])):
-                best = i
-                if len(row) == 1:
+            if i in row and len(row) < size:
+                best, size = i, len(row)
+                if size == 1:
                     break  # nothing beats a pivot without fill-in
-        if best is not None:
-            prow = live.pop(best)
-            p = Fraction(prow.pop(best))
-            sig += 1 if p > 0 else -1
-            touched = prow.keys()
-            for k in touched:
-                del live[k][best]
-            _subtract_symmetric(live, touched, lambda k, l: prow[k] * prow[l] / p)
-        else:
-            i = next(iter(live))
-            j = min(live[i])
-            ri, rj = live.pop(i), live.pop(j)
-            b = Fraction(ri.pop(j))
-            del rj[i]
-            touched = ri.keys() | rj.keys()
-            for k in touched:
-                row = live[k]
-                row.pop(i, None)
-                row.pop(j, None)
-            # Schur complement of [[0, b], [b, 0]]: a_kl -= (a_ki a_jl + a_kj a_il) / b
-            _subtract_symmetric(
-                live, touched,
-                lambda k, l: (ri.get(k, 0) * rj.get(l, 0) + rj.get(k, 0) * ri.get(l, 0)) / b,
-            )
+        if best is None:
+            # no diagonal left: add row and column j to row and column i = best
+            best = next(iter(live))
+            ri = live[best]
+            j = min(ri)
+            for k, e in live[j].items():
+                if k == best:
+                    continue
+                v = ri.get(k, 0) + e
+                if v:
+                    ri[k] = live[k][best] = v
+                else:
+                    del ri[k]
+                    del live[k][best]
+            ri[best] = 2 * ri[j]
+        prow = live.pop(best)
+        p = Fraction(prow.pop(best))
+        sig += 1 if p > 0 else -1
+        touched = list(prow)
+        for k in touched:
+            del live[k][best]
+        # rank-one update a_kl -= a_k a_l / p, each pair once, written to both triangles
+        for a, k in enumerate(touched):
+            row = live[k]
+            f = prow[k] / p
+            for l in touched[a:]:
+                e = row.get(l, 0) - f * prow[l]
+                if e:
+                    row[l] = live[l][k] = e
+                else:
+                    del row[l]
+                    live[l].pop(k, None)  # already gone when l == k
         for k in touched:
             if not live[k]:
                 del live[k]

@@ -60,26 +60,19 @@ def _candidates_r1_add(g):
     return [(w, v) for w in g.wires() for v in range(4)]
 
 
+# Per r1+ variant: the port the cut wire enters, the two ports the loop joins,
+# and the port it leaves by.
+_R1_ADD_PORTS = ((0, 2, 1, 3), (0, 2, 3, 1), (1, 3, 0, 2), (3, 1, 0, 2))
+
+
 def _apply_r1_add(g, site):
     (a, b), variant = site
+    entry, p, q, exit_ = _R1_ADD_PORTS[variant]
     g.disconnect(a)
     k = g.add_node(False)
-    if variant == 0:
-        g.connect(a, (k, 0))
-        g.connect((k, 2), (k, 1))
-        g.connect((k, 3), b)
-    elif variant == 1:
-        g.connect(a, (k, 0))
-        g.connect((k, 2), (k, 3))
-        g.connect((k, 1), b)
-    elif variant == 2:
-        g.connect(a, (k, 1))
-        g.connect((k, 3), (k, 0))
-        g.connect((k, 2), b)
-    else:
-        g.connect(a, (k, 3))
-        g.connect((k, 1), (k, 0))
-        g.connect((k, 2), b)
+    g.connect(a, (k, entry))
+    g.connect((k, p), (k, q))
+    g.connect((k, exit_), b)
 
 
 def _candidates_r1_remove(g):
@@ -134,28 +127,27 @@ def _candidates_r2_add(g):
     return list(_r2_add_sites(g))
 
 
+# Per r2+ variant, the ports (x, y) of the strand beta -> alpha, which runs
+# (c1, x) -> (c1, y) -> (c2, y) -> (c2, x), and the ports (u, v) of the strand
+# gamma -> delta, which runs (c1, u) -> (c1, v) -> (c2, u) -> (c2, v).
+_R2_ADD_PORTS = {"over": ((3, 1), (0, 2)), "under": ((0, 2), (1, 3))}
+
+
 def _apply_r2_add(g, site):
     h1, h2, variant = site
     alpha, beta = h1, g.conn[h1]
     gamma, delta = h2, g.conn[h2]
+    (x, y), (u, v) = _R2_ADD_PORTS[variant]
     g.disconnect(alpha)
     g.disconnect(gamma)
     c1 = g.add_node(False)
     c2 = g.add_node(False)
-    if variant == "over":
-        g.connect(beta, (c1, 3))
-        g.connect((c1, 1), (c2, 1))
-        g.connect((c2, 3), alpha)
-        g.connect(gamma, (c1, 0))
-        g.connect((c1, 2), (c2, 0))
-        g.connect((c2, 2), delta)
-    else:
-        g.connect(beta, (c1, 0))
-        g.connect((c1, 2), (c2, 2))
-        g.connect((c2, 0), alpha)
-        g.connect(gamma, (c1, 1))
-        g.connect((c1, 3), (c2, 1))
-        g.connect((c2, 3), delta)
+    g.connect(beta, (c1, x))
+    g.connect((c1, y), (c2, y))
+    g.connect((c2, x), alpha)
+    g.connect(gamma, (c1, u))
+    g.connect((c1, v), (c2, u))
+    g.connect((c2, v), delta)
 
 
 def _candidates_r2_remove(g):

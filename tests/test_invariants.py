@@ -130,3 +130,7 @@ def test_rejects_links():
         invariant_tuple(hopf)
     with pytest.raises(ValidationError):
         signature(hopf)
+    with pytest.raises(ValidationError):
+        determinant(hopf)
+    with pytest.raises(ValidationError):
+        genus_lower_bound(hopf)

@@ -189,6 +189,8 @@ def test_symmetric_signature_known_forms():
     assert symmetric_signature([[0, 1], [1, 0]]) == 0
     assert symmetric_signature([[0, 0], [0, 0]]) == 0
     assert symmetric_signature([[2, 1], [1, 2]]) == 2
+    # adding row 1 to row 0 cancels entry (0, 2)
+    assert symmetric_signature([[0, 1, 1], [1, 0, -1], [1, -1, 0]]) == 1
 
 
 def test_symmetric_signature_random_congruence():
@@ -266,7 +268,7 @@ def _dense_signature(rows):
 
 def _rand_symmetric(rng, n):
     """Sparse symmetric integer matrix; two in three have a zero diagonal, so
-    that elimination needs 2x2 pivots, and some have an all-zero block."""
+    that elimination needs its congruence step, and some have an all-zero block."""
     zero_diagonal = rng.random() < 2 / 3
     dead = set(rng.sample(range(n), rng.randint(0, n // 2))) if n else set()
     m = [[0] * n for _ in range(n)]
@@ -283,6 +285,12 @@ def test_symmetric_signature_matches_dense_reference():
     rng = random.Random(5)
     cases = [_rand_symmetric(rng, rng.randint(0, 9)) for _ in range(1500)]
     cases += [[[0] * 4 for _ in range(4)], [[1, 1], [1, 1]], [[0, 2, 0], [2, 0, 0], [0, 0, 0]]]
+    # larger zero-diagonal forms, where the congruence step also runs after fill-in
+    for _ in range(40):
+        rows = _rand_symmetric(rng, rng.randint(10, 30))
+        for i, row in enumerate(rows):
+            row[i] = 0
+        cases.append(rows)
     for rec in bundled_table():
         for seed in range(3):
             pd = reidemeister_perturb(rec.pd, moves=12, seed=seed)
