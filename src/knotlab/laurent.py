@@ -21,7 +21,11 @@ class LaurentPoly:
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, coeffs=(), offset=0):
-        coeffs = list(coeffs)
+        if type(coeffs) is tuple and coeffs and coeffs[0] and coeffs[-1]:
+            self.offset = offset  # already trimmed
+            self.coeffs = coeffs
+            return
+        coeffs = tuple(coeffs)
         lo = 0
         while lo < len(coeffs) and coeffs[lo] == 0:
             lo += 1
@@ -33,7 +37,7 @@ class LaurentPoly:
             self.coeffs = ()
         else:
             self.offset = offset + lo
-            self.coeffs = tuple(coeffs[lo:hi])
+            self.coeffs = coeffs[lo:hi]
 
     @classmethod
     def const(cls, c):
@@ -75,30 +79,32 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __neg__(self):
-        return LaurentPoly([-c for c in self.coeffs], self.offset)
+        return LaurentPoly(tuple(-c for c in self.coeffs), self.offset)
 
-    def __add__(self, other):
+    def _plus(self, other, s):
+        """self + s * other for s = 1 or -1."""
         if isinstance(other, int):
             other = LaurentPoly.const(other)
-        if not self.coeffs:
-            return other
         if not other.coeffs:
             return self
+        if not self.coeffs:
+            return other if s > 0 else -other
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
         out = [0] * (hi - lo)
         for i, c in enumerate(self.coeffs):
             out[self.offset - lo + i] += c
         for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
+            out[other.offset - lo + i] += s * c
         return LaurentPoly(out, lo)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return LaurentPoly.const(other) - self
@@ -202,13 +208,21 @@ T = LaurentPoly.t_power(1)
 # exact determinants
 
 
+def _require_square(rows):
+    n = len(rows)
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ValueError(f"row {i} has {len(r)} entries in a {n}-row matrix")
+
+
 def _bareiss(m, one):
     """Determinant of the square matrix m by fraction-free Bareiss elimination.
 
     Works over any integral domain whose `//` divides exactly, with `one` its
     unit: ints, and LaurentPoly (where `//` is exact_div).  Rows of m are
-    overwritten.
+    overwritten.  Raises ValueError when m is not square.
     """
+    _require_square(m)
     n = len(m)
     sign = 1
     prev = one
@@ -232,7 +246,10 @@ def _bareiss(m, one):
 
 
 def det_int(rows):
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination."""
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
+
+    Raises ValueError when the matrix is not square.
+    """
     return _bareiss([list(r) for r in rows], 1)
 
 
@@ -242,25 +259,47 @@ def det_laurent_bareiss(rows):
     All intermediate divisions are exact over Z[t, 1/t].  Cubic in the size
     with polynomial entries: det_laurent hands it only the block that unit
     pivots cannot reach, and the tests use it whole as the reference.
+    Raises ValueError when the matrix is not square.
     """
     return _bareiss([[e * ONE for e in r] for r in rows], ONE)
 
 
-def _is_unit(p):
-    """True for +-t^k, the units of Z[t, 1/t]."""
-    return len(p.coeffs) == 1 and p.coeffs[0] in (1, -1)
+def _unit_columns(row):
+    """Columns of row's unit entries +-t^k, in the row's order."""
+    return [c for c, e in row.items() if e.coeffs == (1,) or e.coeffs == (-1,)]
+
+
+def _is_odd(perm):
+    """True when the permutation i -> perm[i] of range(len(perm)) is odd."""
+    seen = [False] * len(perm)
+    parity = len(perm)  # a permutation's parity is that of n minus its cycle count
+    for start in range(len(perm)):
+        if not seen[start]:
+            parity -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = perm[k]
+    return parity % 2 == 1
 
 
 def det_laurent(rows):
     """Determinant of a square LaurentPoly matrix, exact.
 
     Sparse elimination on unit pivots +-t^k, whose inverses are exact, chosen
-    by the Markowitz least-fill rule; every Wirtinger Fox row has such entries.
-    When no unit is left, the residual block goes to det_laurent_bareiss.
-    Once a pivot's column is cleared, Laplace expansion along it gives the
-    pivot times its cofactor, so the determinant is the product of the
-    pivots, their cofactor signs, and the residual determinant.
+    by the Markowitz least-fill rule: least (r-1)(c-1) over the live units,
+    the first in row order and then in the row's own order on ties.  Every
+    Wirtinger Fox row has such entries.  Each live row keeps the columns of
+    its units, recomputed only when an update touches the row.  The update
+    row -= (row[j] / unit) * pivot row is one pass over coefficient lists per
+    entry.  When no unit is left, the residual block goes to
+    det_laurent_bareiss.  Once a pivot's column is cleared, Laplace expansion
+    along it gives the pivot times its cofactor, so the determinant is the
+    product of the pivots, the residual determinant, and the sign of the
+    row and column orders that put the pivots first, taken once at the end.
+    Raises ValueError when the matrix is not square.
     """
+    _require_square(rows)
     n = len(rows)
     live = []  # row index -> {column: nonzero entry}, None once pivoted
     cols = [set() for _ in range(n)]  # column -> live rows with an entry there
@@ -275,56 +314,80 @@ def det_laurent(rows):
         if not row:
             return LaurentPoly()
         live.append(row)
-    pivoted = set()
-    sign, shift = 1, 0
+    units = [_unit_columns(row) for row in live]  # empty once pivoted
+    row_order, col_order = [], []
+    negative, shift = False, 0
     while True:
         best = None
-        for i, row in enumerate(live):
-            if row is None:
+        for i, us in enumerate(units):
+            if not us:
                 continue
-            for j, e in row.items():
-                if _is_unit(e):
-                    cost = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and not best[0]:
+            r = len(live[i]) - 1
+            for j in us:
+                cost = r * (len(cols[j]) - 1)
+                if best is None or cost < best:
+                    best, pi, pj = cost, i, j
+            if best == 0:
                 break  # nothing beats a pivot without fill-in
         if best is None:
             break
-        _, i, j = best
-        # cofactor sign from the pivot's position among the rows and columns left
-        if (sum(r is not None for r in live[:i]) + sum(c not in pivoted for c in range(j))) % 2:
-            sign = -sign
-        pivoted.add(j)
-        prow = live[i]
-        live[i] = None
+        row_order.append(pi)
+        col_order.append(pj)
+        prow = live[pi]
+        live[pi] = None
+        units[pi] = ()
         for c in prow:
-            cols[c].discard(i)
-        unit = prow.pop(j)
-        sign *= unit.coeffs[0]
+            cols[c].discard(pi)
+        unit = prow.pop(pj)
+        flip = unit.coeffs[0] < 0
+        negative ^= flip
         shift += unit.offset
-        for k in cols[j]:
+        for k in cols[pj]:
             row = live[k]
-            # row -= (row[j] / unit) * prow, which clears column j
-            f = row.pop(j).shifted(-unit.offset)
-            if unit.coeffs[0] < 0:
-                f = -f
+            # row -= f * prow with f = row[pj] / unit, which clears column pj
+            f = row.pop(pj)
+            fc = tuple(-x for x in f.coeffs) if flip else f.coeffs
+            fo = f.offset - unit.offset
             for c, e in prow.items():
+                ec = e.coeffs
+                lo = fo + e.offset
+                size = len(fc) + len(ec) - 1
                 v = row.get(c)
-                v = -(f * e) if v is None else v - f * e
+                if v is None:
+                    out = [0] * size
+                    base = 0
+                else:
+                    vo, vc = v.offset, v.coeffs
+                    hi = max(vo + len(vc), lo + size)
+                    base = lo - vo if lo > vo else 0
+                    lo = min(lo, vo)
+                    out = [0] * (hi - lo)
+                    out[vo - lo : vo - lo + len(vc)] = vc
+                for a, x in enumerate(fc):
+                    for b, y in enumerate(ec):
+                        out[base + a + b] -= x * y
+                v = LaurentPoly(tuple(out), lo)
                 if v.coeffs:
                     row[c] = v
                     cols[c].add(k)
                 else:
-                    row.pop(c, None)
+                    del row[c]
                     cols[c].discard(k)
             if not row:
                 return LaurentPoly()
+            units[k] = _unit_columns(row)
+    rest_rows = [i for i in range(n) if live[i] is not None]
+    pivoted = set(col_order)
     rest_cols = [j for j in range(n) if j not in pivoted]
     zero = LaurentPoly()
-    residual = [[row.get(j, zero) for j in rest_cols] for row in live if row is not None]
+    residual = [[live[i].get(j, zero) for j in rest_cols] for i in rest_rows]
     d = det_laurent_bareiss(residual).shifted(shift)
-    return -d if sign < 0 else d
+    # the sign of the Laplace expansions: A with its rows and columns put in
+    # these orders has the pivots on its leading diagonal
+    perm = [0] * n
+    for i, j in zip(row_order + rest_rows, col_order + rest_cols):
+        perm[i] = j
+    return -d if negative != _is_odd(perm) else d
 
 
 def symmetric_signature(rows):
@@ -341,11 +404,10 @@ def symmetric_signature(rows):
 
     Raises ValueError when the matrix is not square or not symmetric.
     """
+    _require_square(rows)
     n = len(rows)
     live = {}  # row index -> {column: nonzero int or Fraction}; empty rows are dropped
     for i, r in enumerate(rows):
-        if len(r) != n:
-            raise ValueError(f"row {i} has {len(r)} entries in a {n}-row matrix")
         row = {j: e for j, e in enumerate(r) if e}
         if row:
             live[i] = row

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotlab import laurent
+from knotlab.constructions import DoubleSpec, cable2, rational_knot, torus_2n, whitehead_double
 from knotlab.diagram import parse_pd
 from knotlab.invariants import _goeritz, alexander_matrix
 from knotlab.knotdb import bundled_table
@@ -26,6 +27,28 @@ poly = st.builds(
     st.lists(coeff, min_size=0, max_size=6),
     st.integers(min_value=-4, max_value=4),
 )
+
+
+def _assert_trimmed(p):
+    """Equal to the same terms built through trimming, so nonzero at both
+    ends, and offset 0 when zero."""
+    assert p == LaurentPoly(list(p.coeffs), p.offset), p
+
+
+@given(poly, poly, st.integers(min_value=-4, max_value=4))
+def test_results_are_trimmed(p, q, k):
+    results = [p + q, p - q, p - p, p - 2, 2 - p, p * q, p * k, -p, p.shifted(k)]
+    if q:
+        results.append((p * q).exact_div(q))
+    for r in results:
+        _assert_trimmed(r)
+
+
+@given(st.lists(coeff, max_size=6), st.integers(min_value=-4, max_value=4))
+def test_tuple_input_is_trimmed_like_a_list(cs, k):
+    p = LaurentPoly(tuple(cs), k)
+    _assert_trimmed(p)
+    assert p == LaurentPoly(cs, k)
 
 
 @given(poly, poly)
@@ -147,15 +170,21 @@ def _permuted_block_matrix(rng, k, m):
     return [[rows[i][j] for j in col_order] for i in row_order]
 
 
-def test_det_laurent_matches_bareiss_reference(monkeypatch):
-    """Unit-pivot elimination and plain fraction-free Bareiss must agree."""
-    residuals = []
+@pytest.fixture
+def residuals(monkeypatch):
+    """Sizes of the blocks det_laurent hands to Bareiss, in call order."""
+    sizes = []
 
     def recording_bareiss(rows):
-        residuals.append(len(rows))
+        sizes.append(len(rows))
         return det_laurent_bareiss(rows)
 
     monkeypatch.setattr(laurent, "det_laurent_bareiss", recording_bareiss)
+    return sizes
+
+
+def test_det_laurent_matches_bareiss_reference(residuals):
+    """Unit-pivot elimination and plain fraction-free Bareiss must agree."""
     rng = random.Random(11)
     cases = [_rand_laurent_matrix(rng, rng.randint(1, 5)) for _ in range(40)]
     for _ in range(150):
@@ -173,12 +202,60 @@ def test_det_laurent_matches_bareiss_reference(monkeypatch):
     assert 0 in residuals and max(residuals) >= 3
 
 
+def _fox_minor(pd):
+    """The Fox minor alexander takes: column 0 and the last row dropped."""
+    return [row[1:] for row in alexander_matrix(pd)[:-1]]
+
+
+@pytest.mark.parametrize(
+    "build, residual",
+    [
+        (lambda: torus_2n(29), 1),
+        (lambda: torus_2n(-29), 1),
+        (lambda: rational_knot([3, 7, 11, 9, 20]), 1),
+        (lambda: cable2(torus_2n(5), 9), 4),
+        (lambda: whitehead_double(DoubleSpec(torus_2n(5), 7, 1)), 2),
+    ],
+    ids=["torus29", "torus-29", "rational50", "cable21", "double26"],
+)
+def test_det_laurent_at_benchmark_sizes(residuals, build, residual):
+    """Benchmark-size Fox minors; the pinned residual size pins the pivot rule."""
+    rows = _fox_minor(build())
+    assert det_laurent(rows) == det_laurent_bareiss(rows)
+    assert residuals == [residual]
+
+
+def test_det_laurent_iterated_cable(residuals):
+    """81 crossings; (2, 1) cables take Delta(t) to Delta(t^2), so the
+    trefoil's 1 - t + t^2 becomes 1 - t^4 + t^8."""
+    rows = _fox_minor(cable2(cable2(torus_2n(3), 1), 1))
+    assert det_laurent(rows).canonical() == LaurentPoly([1, 0, 0, 0, -1, 0, 0, 0, 1])
+    assert residuals == [7]
+
+
 def test_det_laurent_known_values():
     t = LaurentPoly.t_power(1)
     one = LaurentPoly.const(1)
     assert det_laurent([[t]]) == t
     assert det_laurent([[t, one], [one, t]]) == t * t - one
     assert det_laurent([]) == one
+
+
+@pytest.mark.parametrize(
+    "det, rows, message",
+    [
+        (det_int, [[1, 2]], "row 0 has 2 entries in a 1-row matrix"),
+        (det_int, [[1], [2, 3]], "row 0 has 1 entries in a 2-row matrix"),
+        (det_laurent_bareiss, [[1, 2], [3]], "row 1 has 1 entries in a 2-row matrix"),
+        (det_laurent_bareiss, [[1], [2]], "row 0 has 1 entries in a 2-row matrix"),
+        (det_laurent, [[1, 2], [3]], "row 1 has 1 entries in a 2-row matrix"),
+        (det_laurent, [[1], [2]], "row 0 has 1 entries in a 2-row matrix"),
+        (det_laurent, [[0, 0], [1, 2, 3]], "row 1 has 3 entries in a 2-row matrix"),
+    ],
+)
+def test_determinants_reject_non_square(det, rows, message):
+    with pytest.raises(ValueError, match=message):
+        det(rows)
 
 
 def test_symmetric_signature_known_forms():

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from knotlab import constructions, invariants, seifert
+
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
@@ -37,3 +39,23 @@ def test_tracer_binds_every_boundary():
         tracer.uninstall()
     assert all(w is not b for w, b in zip(wrapped, before))
     assert [_lookup(m, attr) for m, attr, _, _ in layers.BOUNDARIES] == before
+
+
+def test_tracer_counts_alexander_sizes():
+    """The size counters read det_laurent's dense input rows; a change to that
+    input format must fail here, not only in a traced benchmark run."""
+    layers = _load_layers()
+    pd = constructions.torus_2n(7)
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        invariants.invariant_tuple(pd)
+        seifert.incompressibility_certificate(pd)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics = layers.layer_metrics(tracer.spans, 1)
+    assert metrics["laurent.alexander_det.calls"] == 2
+    assert metrics["laurent.alexander_det.dim"] == 6
+    assert metrics["laurent.alexander_det.points"] == 7
