@@ -85,6 +85,9 @@ def _check(model):
     bids = [b for b, _, _ in model.horizontal_boundary]
     if len(set(bids)) != len(bids):
         raise ModelError("duplicate boundary component ids")
+    for bid, genus, circles in model.horizontal_boundary:
+        if genus < 0 or circles < 0:
+            raise ModelError(f"boundary component {bid}: negative genus or circle count")
     for disk, comp in model.compressing_disks:
         if comp not in set(bids):
             raise ModelError(f"disk {disk} lies on unknown boundary component {comp}")

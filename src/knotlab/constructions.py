@@ -79,15 +79,6 @@ def cf_to_fraction(cf):
     return TwoBridgeFraction(num, den % num if num > 1 else 0)
 
 
-class _Tangle:
-    """Four dangling ports (nw, ne, sw, se) of a partially wired graph."""
-
-    __slots__ = ("g", "nw", "ne", "sw", "se")
-
-    def __init__(self, g, nw, ne, sw, se):
-        self.g, self.nw, self.ne, self.sw, self.se = g, nw, ne, sw, se
-
-
 def _check_size(total):
     if total > MAX_CROSSINGS:
         raise ConstructionError(
@@ -126,55 +117,45 @@ def _v_chain(g, count, positive):
 # Handedness conventions for twist regions, anchored by rational_knot([3])
 # being the positive trefoil and the determinant family
 # rational_knot([2,2m]) -> 4m+1: a positive entry builds a positive chain.
-def _tangle_h(g, entry):
-    nw, ne, sw, se = _h_chain(g, abs(entry), entry > 0)
-    return _Tangle(g, nw, ne, sw, se)
-
-
-def _tangle_v(g, entry):
+def _twist_bottom(g, t, entry):
+    """Add a vertical twist region below the tangle t = (nw, ne, sw, se)."""
+    if entry == 0:
+        return t
     nw, ne, sw, se = _v_chain(g, abs(entry), entry > 0)
-    return _Tangle(g, nw, ne, sw, se)
+    g.connect(t[2], nw)
+    g.connect(t[3], ne)
+    return t[0], t[1], sw, se
 
 
-def _twist_bottom(t, entry):
+def _twist_right(g, t, entry):
+    """Add a horizontal twist region right of the tangle t = (nw, ne, sw, se)."""
     if entry == 0:
         return t
-    nw, ne, sw, se = _v_chain(t.g, abs(entry), entry > 0)
-    t.g.connect(t.sw, nw)
-    t.g.connect(t.se, ne)
-    t.sw, t.se = sw, se
-    return t
+    nw, ne, sw, se = _h_chain(g, abs(entry), entry > 0)
+    g.connect(t[1], nw)
+    g.connect(t[3], sw)
+    return t[0], ne, t[2], se
 
 
-def _twist_right(t, entry):
-    if entry == 0:
-        return t
-    nw, ne, sw, se = _h_chain(t.g, abs(entry), entry > 0)
-    t.g.connect(t.ne, nw)
-    t.g.connect(t.se, sw)
-    t.ne, t.se = ne, se
-    return t
-
-
-def _build_rational_tangle(cf):
-    g = StrandGraph()
-    t = _tangle_h(g, cf[0])
+def _build_rational_tangle(g, cf):
+    t = _h_chain(g, abs(cf[0]), cf[0] > 0)
     for i, entry in enumerate(cf[1:]):
         if i % 2 == 0:
-            t = _twist_bottom(t, entry)
+            t = _twist_bottom(g, t, entry)
         else:
-            t = _twist_right(t, entry)
+            t = _twist_right(g, t, entry)
     return t
 
 
-def _close(t, numerator):
+def _close(g, t, numerator):
+    nw, ne, sw, se = t
     if numerator:
-        t.g.connect(t.nw, t.ne)
-        t.g.connect(t.sw, t.se)
+        g.connect(nw, ne)
+        g.connect(sw, se)
     else:
-        t.g.connect(t.nw, t.sw)
-        t.g.connect(t.ne, t.se)
-    return t.g.to_diagram()
+        g.connect(nw, sw)
+        g.connect(ne, se)
+    return g.to_diagram()
 
 
 def _validated_knot(pd, what):
@@ -196,7 +177,8 @@ def rational_knot(cf):
         raise ConstructionError(
             f"fraction {frac.p}/{frac.q} has even p: 2-component link, not a knot"
         )
-    pd = _close(_build_rational_tangle(list(cf)), len(cf) % 2 == 1)
+    g = StrandGraph()
+    pd = _close(g, _build_rational_tangle(g, list(cf)), len(cf) % 2 == 1)
     return _validated_knot(pd, "rational diagram")
 
 
@@ -290,16 +272,15 @@ def _doubled_with_gap(pd):
 
 
 def _splice_tangle(g, stubs, t):
-    """Wire a tangle into the cut, matching compass corners to the stubs."""
+    """Wire a tangle's corners (nw, ne, sw, se) into the cut, each to the
+    stub at the same compass corner."""
     nw, sw, ne, se = stubs
     if t is None:
         g.connect(nw, ne)
         g.connect(sw, se)
         return
-    g.connect(t.nw, nw)
-    g.connect(t.sw, sw)
-    g.connect(t.ne, ne)
-    g.connect(t.se, se)
+    for corner, stub in zip(t, (nw, ne, sw, se)):
+        g.connect(corner, stub)
 
 
 def cable2(pd, f):
@@ -309,7 +290,7 @@ def cable2(pd, f):
         raise ConstructionError(f"(2,{f}) cable is a 2-component link; f must be odd")
     j = f - 2 * writhe(pd)
     g, stubs = _doubled_with_gap(pd)
-    t = _tangle_h(g, j) if j else None
+    t = _h_chain(g, abs(j), j > 0) if j else None
     _splice_tangle(g, stubs, t)
     return _validated_knot(g.to_diagram(), "cable")
 
@@ -339,8 +320,7 @@ def whitehead_double(spec):
     _valid(spec.companion)
     inserted = 2 * spec.twists - 2 * writhe(spec.companion)
     g, stubs = _doubled_with_gap(spec.companion)
-    t = _tangle_v(g, 2 * spec.clasp)
-    t = _twist_right(t, inserted)
+    t = _twist_right(g, _v_chain(g, 2, spec.clasp > 0), inserted)
     _splice_tangle(g, stubs, t)
     return _validated_knot(g.to_diagram(), "double")
 

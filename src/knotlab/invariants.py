@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import InconsistencyError, checkerboard, _require_knot, _valid
-from .laurent import LaurentPoly, ONE, det_int, det_laurent, symmetric_signature
+from .laurent import LaurentPoly, ONE, T, det_int, det_laurent, symmetric_signature
 
-_T = LaurentPoly.t_power(1)
-_MT = -_T
-_ONE_MINUS_T = ONE - _T
-_T_MINUS_ONE = _T - ONE
+_MT = -T
+_ONE_MINUS_T = ONE - T
+_T_MINUS_ONE = T - ONE
 _MINUS_ONE = -ONE
 
 
@@ -44,28 +43,20 @@ class InvariantTuple:
 
 
 def _arc_of(pd, rr):
-    """Edge label -> Wirtinger arc index.
+    """Edge label -> Wirtinger arc index of a knot, and the number of arcs.
 
     An arc runs along the strand until the strand passes under; the incoming
     edge of slot 0 at each crossing is the last edge of its arc.
     """
     breaks = {x.a for x in pd.crossings}
+    (cycle,) = rr.components
+    start = next(i for i, e in enumerate(cycle) if e in breaks) + 1
     arc_of = {}
     arc = 0
-    for cycle in rr.components:
-        offsets = [i for i, e in enumerate(cycle) if e in breaks]
-        if not offsets:
-            for e in cycle:
-                arc_of[e] = arc
+    for e in cycle[start:] + cycle[:start]:
+        arc_of[e] = arc
+        if e in breaks:
             arc += 1
-            continue
-        start = offsets[0] + 1
-        n = len(cycle)
-        for i in range(n):
-            e = cycle[(start + i) % n]
-            arc_of[e] = arc
-            if e in breaks:
-                arc += 1
     return arc_of, arc
 
 
@@ -86,7 +77,7 @@ def alexander_matrix(pd):
         if rr.signs[ci] > 0:
             o = arc_of[x.b]
             row[o] = row[o] + _ONE_MINUS_T
-            row[u] = row[u] + _T
+            row[u] = row[u] + T
             row[v] = row[v] + _MINUS_ONE
         else:
             o = arc_of[x.d]

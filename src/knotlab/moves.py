@@ -24,10 +24,12 @@ Conventions used by the rewirings:
 * r2-  deletes a bigon whose two corners give one strand the over role at both
   crossings.
 * r3   slides the strand that runs over both of its triangle crossings across
-  the opposite crossing.  The rewiring is a pure port relabeling: each of the
-  twelve triangle ports hands its wire to the port the strand occupies after
-  the slide, so degenerate adjacencies (external wires joining two triangle
-  nodes) need no special casing.
+  the opposite crossing, so each of the three strands meets the other two in
+  the opposite order.  That is one port rotation per strand: with x and y its
+  ports at its two triangle crossings, x -> across(x) -> y -> across(y) -> x.
+  The cycle is the same whichever end is x, so the strands' levels only pick
+  the sites.  Every wire is relabeled through the rotations, so external
+  wires joining two triangle nodes need no special casing.
 """
 
 from __future__ import annotations
@@ -177,90 +179,25 @@ def _apply_r2_remove(g, site):
     g.splice_out({h1[0], h2[0]})
 
 
-def _triangle_sides(g, face):
-    """(departure, arrival, over@dep, over@arr) per side of a triangle face."""
-    sides = []
-    for h in face:
-        e = g.conn[h]
-        sides.append((h, e, _role_over(g, h), _role_over(g, e)))
-    return sides
-
-
 def _candidates_r3(g):
     out = []
     for face in g.faces():
-        if len(face) != 3:
+        if len(face) != 3 or len({h[0] for h in face}) != 3:
             continue
-        nodes = {h[0] for h in face}
-        if len(nodes) != 3:
-            continue
-        wires = {frozenset((h, g.conn[h])) for h in face}
-        if len(wires) != 3:
-            continue
-        sides = _triangle_sides(g, face)
-        if not any(up and dn for _, _, up, dn in sides):
+        if not any(_role_over(g, h) and _role_over(g, g.conn[h]) for h in face):
             continue  # cyclic triangle: no strand runs over both crossings
-        k = min(range(3), key=lambda i: face[i])
-        out.append(tuple(face[(k + i) % 3] for i in range(3)))
+        k = face.index(min(face))
+        out.append(face[k:] + face[:k])
     out.sort()
     return out
 
 
 def _apply_r3(g, site):
-    sides = _triangle_sides(g, site)
-    node = [h[0] for h in site]
-
-    def level(i):
-        _, _, up, dn = sides[i]
-        if up and dn:
-            return "T"
-        if not up and not dn:
-            return "B"
-        return "M"
-
-    levels = [level(i) for i in range(3)]
-    t, m, b = (levels.index(x) for x in ("T", "M", "B"))
-
-    def port_at(i, n):
-        dep, arr, _, _ = sides[i]
-        if dep[0] == arr[0]:
-            raise MoveError("degenerate triangle side")
-        return dep[1] if dep[0] == n else arr[1]
-
-    def shared(i, j):
-        ni = {node[i], node[(i + 1) % 3]}
-        nj = {node[j], node[(j + 1) % 3]}
-        return (ni & nj).pop()
-
-    c_tm, c_tb, c_mb = shared(t, m), shared(t, b), shared(m, b)
-    p_tseg = (c_tm, port_at(t, c_tm))
-    p_tsg2 = (c_tb, port_at(t, c_tb))
-    p_mseg = (c_tm, port_at(m, c_tm))
-    m_tri = (c_mb, port_at(m, c_mb))
-    p_bseg = (c_tb, port_at(b, c_tb))
-    b_tri = (c_mb, port_at(b, c_mb))
-
-    def across(port):
-        return (port[0], (port[1] + 2) % 4)
-
-    p_text, p_txt2 = across(p_tseg), across(p_tsg2)
-    p_mext, m_other = across(p_mseg), across(m_tri)
-    p_bext, b_other = across(p_bseg), across(b_tri)
-
-    rho = {
-        p_tseg: p_text,
-        p_text: p_tsg2,
-        p_tsg2: p_txt2,
-        p_txt2: p_tseg,
-        p_mseg: p_mext,
-        p_mext: m_tri,
-        m_tri: m_other,
-        m_other: p_mseg,
-        p_bseg: p_bext,
-        p_bext: b_tri,
-        b_tri: b_other,
-        b_other: p_bseg,
-    }
+    rho = {}
+    for h in site:
+        e = g.conn[h]
+        h2, e2 = (h[0], (h[1] + 2) % 4), (e[0], (e[1] + 2) % 4)
+        rho.update({h: h2, h2: e, e: e2, e2: h})
     old = g.wires()
     for u, _ in old:
         if u in g.conn:
@@ -300,10 +237,10 @@ def apply_move(g, kind, index=0):
     """Apply the index-th candidate of the given kind in place."""
     if not _is_non_negative_int(index):
         raise MoveError(f"move site index must be a non-negative integer, not {index!r}")
-    sites = move_candidates(g, kind)
-    if index >= len(sites):
+    n, pick = _counted_sites(g, kind)
+    if index >= n:
         raise MoveError(f"no {kind} move at site index {index}")
-    _APPLY[kind](g, sites[index])
+    _APPLY[kind](g, pick(index))
     report = validate(g.to_diagram())
     if not report.ok:
         raise MoveError(f"{kind} produced an invalid diagram: {report.failures}")

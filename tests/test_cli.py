@@ -150,6 +150,15 @@ def test_bf_model_round_trip(capsys, tmp_path):
     assert "verdict persistently-laminar" in out
 
 
+def test_bf_model_with_negative_boundary_counts_exits_1(capsys, tmp_path):
+    model_path = tmp_path / "negative.model"
+    model_path.write_text("sector A -1\nboundary F -2 -5\n", encoding="utf-8")
+    rc, out = run(capsys, ["bf", "--model", str(model_path)])
+    assert rc == 1
+    assert "negative genus" in out
+    assert out.endswith("status error\n")
+
+
 def test_bf_requires_genus_or_model(capsys):
     # a model comes from exactly one source: neither or both is a usage error
     for argv in (["bf"], ["bf", "--genus", "5", "--model", "g1.model"]):

@@ -231,3 +231,22 @@ def test_counted_sites_match_the_candidate_lists():
             assert [pick(i) for i in range(n)] == sites, (kind, pd)
         r2_add = move_candidates(g, "r2+")
         assert list(_r2_add_sites(g, len(r2_add) // 3)) == r2_add[len(r2_add) // 3 :]
+
+
+def test_every_r3_site_is_pinned():
+    # every triangle site, not only the drawn ones: any change to the r3
+    # candidate order or to its rewiring changes this digest
+    diagrams = [parse_pd("X 1,2,1,2")]
+    for rec in bundled_table():
+        diagrams.append(rec.pd)
+        diagrams.extend(reidemeister_perturb(rec.pd, moves=12, seed=s) for s in range(8))
+    h = hashlib.sha256()
+    applied = 0
+    for pd in diagrams:
+        for i in range(len(move_candidates(StrandGraph.from_diagram(pd), "r3"))):
+            g = StrandGraph.from_diagram(pd)
+            apply_move(g, "r3", i)
+            h.update(serialize_pd(g.to_diagram()).encode())
+            applied += 1
+    assert applied == 110
+    assert h.hexdigest() == "0b7fe9c43b6e7a0826c79f4eee6a07b7f7242cb49878ec98fff0ecb15d97cbd5"
