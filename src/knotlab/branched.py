@@ -82,6 +82,14 @@ def _check(model):
         for s in (c.merged_side, *c.sheet_sides):
             if s not in known:
                 raise ModelError(f"curve {c.id} references unknown sector {s}")
+    # a sector is a connected surface (chi <= 2) with boundary along each branch
+    # curve it is a side of (chi <= 1)
+    sided = {s for c in model.branch_curves for s in (c.merged_side, *c.sheet_sides)}
+    for sid, chi in model.sectors:
+        if chi > 2:
+            raise ModelError(f"sector {sid}: chi {chi} > 2 on a connected surface")
+        if chi > 1 and sid in sided:
+            raise ModelError(f"sector {sid}: chi {chi} > 1 on a side of a branch curve")
     bids = [b for b, _, _ in model.horizontal_boundary]
     if len(set(bids)) != len(bids):
         raise ModelError("duplicate boundary component ids")

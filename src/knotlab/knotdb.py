@@ -75,10 +75,14 @@ def _parse_block(block):
             in_pd = True
             continue
         key, _, rest = line.partition(" ")
+        if key in fields:
+            raise TableError(f"record block repeats its '{key}' line")
         fields[key] = rest.strip()
     for key in ("name", "flags", "alexander", "det", "sig"):
         if key not in fields:
             raise TableError(f"record block missing '{key}' line")
+    if not fields["name"]:
+        raise TableError("record block has an empty 'name' line")
     if not pd_lines:
         raise TableError(f"record {fields['name']}: missing pd block")
     name = fields["name"]

@@ -391,7 +391,10 @@ def det_laurent(rows):
 
 
 def symmetric_signature(rows):
-    """Signature of a symmetric integer matrix, exact.
+    """Signature and determinant of a symmetric integer matrix, exact.
+
+    The matrix comes as sparse rows: rows[i] is a dict {column: int} of row
+    i's entries, where absent columns and zero values both read as 0.
 
     Sparse symmetric elimination over Q (an LDL^T), on one dict per row that,
     by symmetry, is also its column, and that stores no zero.  Each step
@@ -400,22 +403,27 @@ def symmetric_signature(rows):
     off-diagonal pair (i, j) and adds row and column j to row and column i,
     a congruence of determinant 1 that makes a_ii = 2 a_ij nonzero; i then
     pivots.  By Sylvester's law of inertia the signature is the count of the
-    pivots' signs; rank deficiency contributes zero.
+    pivots' signs; rank deficiency contributes zero.  The congruences keep
+    the determinant, so it is the product of the pivots, and 0 when a row
+    empties without pivoting.  det_int is the independent reference the
+    tests hold this determinant to.
 
-    Raises ValueError when the matrix is not square or not symmetric.
+    Returns (signature, determinant).  Raises ValueError when a column is not
+    an int in range(len(rows)) or the rows are not symmetric.
     """
-    _require_square(rows)
     n = len(rows)
     live = {}  # row index -> {column: nonzero int or Fraction}; empty rows are dropped
     for i, r in enumerate(rows):
-        row = {j: e for j, e in enumerate(r) if e}
+        if any(type(j) is not int or not 0 <= j < n for j in r):
+            raise ValueError(f"row {i} has a column outside range({n})")
+        row = {j: e for j, e in r.items() if e}
         if row:
             live[i] = row
     for i, row in live.items():
         for j, e in row.items():
             if live.get(j, {}).get(i) != e:
                 raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) differ")
-    sig = 0
+    sig, det, rank = 0, 1, 0
     while live:
         best, size = None, n + 1
         for i, row in live.items():
@@ -441,6 +449,8 @@ def symmetric_signature(rows):
         prow = live.pop(best)
         p = Fraction(prow.pop(best))
         sig += 1 if p > 0 else -1
+        det *= p
+        rank += 1
         touched = list(prow)
         for k in touched:
             del live[k][best]
@@ -458,4 +468,4 @@ def symmetric_signature(rows):
         for k in touched:
             if not live[k]:
                 del live[k]
-    return sig
+    return sig, int(det) if rank == n else 0

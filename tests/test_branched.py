@@ -232,6 +232,8 @@ def test_model_validation_errors():
         ([("A", -1)], [], [("F", 1, 1)], [("D", "nowhere")]),
         ([("A", -1)], [], [("F", -2, 1)], []),
         ([("A", -1)], [], [("F", 1, -5)], []),
+        ([("A", 2)], [curve], [], []),
+        ([("A", -1), ("B", 3)], [], [], []),
     ):
         with pytest.raises(ModelError):
             BranchedSurfaceModel(sectors, curves, boundary, disks)

@@ -159,6 +159,15 @@ def test_bf_model_with_negative_boundary_counts_exits_1(capsys, tmp_path):
     assert out.endswith("status error\n")
 
 
+def test_bf_model_with_impossible_sector_chi_exits_1(capsys, tmp_path):
+    model_path = tmp_path / "chi.model"
+    model_path.write_text("sector A 5\nboundary F 0 0\n", encoding="utf-8")
+    rc, out = run(capsys, ["bf", "--model", str(model_path)])
+    assert rc == 1
+    assert "sector A: chi 5 > 2" in out
+    assert out.endswith("status error\n")
+
+
 def test_bf_requires_genus_or_model(capsys):
     # a model comes from exactly one source: neither or both is a usage error
     for argv in (["bf"], ["bf", "--genus", "5", "--model", "g1.model"]):

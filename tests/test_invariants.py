@@ -76,8 +76,10 @@ def test_signature_color_independent():
 
 
 def test_signature_of_large_forms():
-    """Goeritz forms of 400 and 190 rows, far larger than any table record."""
+    """Goeritz forms of 400, 800 and 190 rows, far larger than any table record."""
     assert signature(torus_2n(401)) == -400
+    tup = invariant_tuple(torus_2n(801))
+    assert (tup.determinant, tup.signature) == (801, -800)
     cable = cable2(cable2(cable2(TREFOIL, 1), 1), 1)
     assert len(cable) == 353
     assert signature(cable, "white") == signature(cable, "black")

@@ -127,6 +127,10 @@ def test_load_rejects_missing_fields_and_bad_flags():
         parse_table(good.replace("flags alternating,twist-knot", "flags chiral"))
     with pytest.raises(TableError):
         parse_table(good.replace("det 3", "det three"))
+    with pytest.raises(TableError, match="repeats"):
+        parse_table(good.replace("name 3_1", "name 3_1\nname 3_1b"))
+    with pytest.raises(TableError, match="empty 'name'"):
+        parse_table(good.replace("name 3_1", "name"))
 
 
 def test_record_flag_validation():

@@ -258,26 +258,34 @@ def test_determinants_reject_non_square(det, rows, message):
         det(rows)
 
 
+def _sparse(rows):
+    """The sparse rows symmetric_signature reads, from a dense matrix."""
+    return [{j: e for j, e in enumerate(r) if e} for r in rows]
+
+
 def test_symmetric_signature_known_forms():
-    assert symmetric_signature([[1]]) == 1
-    assert symmetric_signature([[-1]]) == -1
-    assert symmetric_signature([[2, 0], [0, -3]]) == 0
+    """(signature, determinant) of small forms."""
+    assert symmetric_signature(_sparse([[1]])) == (1, 1)
+    assert symmetric_signature(_sparse([[-1]])) == (-1, -1)
+    assert symmetric_signature(_sparse([[2, 0], [0, -3]])) == (0, -6)
     # hyperbolic pair: zero diagonal, off-diagonal coupling
-    assert symmetric_signature([[0, 1], [1, 0]]) == 0
-    assert symmetric_signature([[0, 0], [0, 0]]) == 0
-    assert symmetric_signature([[2, 1], [1, 2]]) == 2
+    assert symmetric_signature(_sparse([[0, 1], [1, 0]])) == (0, -1)
+    assert symmetric_signature(_sparse([[0, 0], [0, 0]])) == (0, 0)
+    assert symmetric_signature(_sparse([[2, 1], [1, 2]])) == (2, 3)
     # adding row 1 to row 0 cancels entry (0, 2)
-    assert symmetric_signature([[0, 1, 1], [1, 0, -1], [1, -1, 0]]) == 1
+    assert symmetric_signature(_sparse([[0, 1, 1], [1, 0, -1], [1, -1, 0]])) == (1, -2)
+    assert symmetric_signature([]) == (0, 1)
 
 
 def test_symmetric_signature_random_congruence():
-    """Signature is invariant under congruence by unimodular matrices."""
+    """Signature and determinant are invariant under congruence by
+    unimodular matrices."""
     rng = random.Random(3)
     for trial in range(30):
         n = rng.randint(1, 5)
         a = _rand_int_matrix(rng, n, -4, 4)
         sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
-        base = symmetric_signature(sym)
+        base = symmetric_signature(_sparse(sym))
         u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for _ in range(4):
             i, j = rng.randrange(n), rng.randrange(n)
@@ -287,7 +295,7 @@ def test_symmetric_signature_random_congruence():
                     u[i][k] += c * u[j][k]
         m = [[sum(u[i][k] * sym[k][l] for k in range(n)) for l in range(n)] for i in range(n)]
         m = [[sum(m[i][k] * u[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-        assert symmetric_signature(m) == base, (trial, sym)
+        assert symmetric_signature(_sparse(m)) == base, (trial, sym)
 
 
 def _dense_signature(rows):
@@ -371,15 +379,18 @@ def test_symmetric_signature_matches_dense_reference():
     for rec in bundled_table():
         for seed in range(3):
             pd = reidemeister_perturb(rec.pd, moves=12, seed=seed)
-            cases += [_goeritz(pd, color)[0] for color in ("white", "black")]
+            for color in ("white", "black"):
+                form = _goeritz(pd, color)[0]
+                cases.append([[r.get(j, 0) for j in range(len(form))] for r in form])
     for trial, rows in enumerate(cases):
-        assert symmetric_signature(rows) == _dense_signature(rows), (trial, rows)
+        want = (_dense_signature(rows), det_int(rows))
+        assert symmetric_signature(_sparse(rows)) == want, (trial, rows)
 
 
 def test_symmetric_signature_rejects_malformed():
-    with pytest.raises(ValueError):
-        symmetric_signature([[1, 2], [3, 1]])
-    with pytest.raises(ValueError):
-        symmetric_signature([[1, 0], [0]])
-    with pytest.raises(ValueError):
-        symmetric_signature([[0, 1, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match="differ"):
+        symmetric_signature(_sparse([[1, 2], [3, 1]]))
+    with pytest.raises(ValueError, match="outside range"):
+        symmetric_signature([{0: 1}, {2: 1}])
+    with pytest.raises(ValueError, match="outside range"):
+        symmetric_signature([{0: 1, "1": 2}, {0: 2}])
