@@ -9,9 +9,9 @@ orientability constraint graph, and the boundary/disk bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .diagram import KnotlabError, _ParityUnionFind
+from .diagram import KnotlabError, _ParityUnionFind, _Record
 
 
 class ModelError(KnotlabError):
@@ -21,19 +21,14 @@ class ModelError(KnotlabError):
 _RELATIONS = ("same", "opposite")
 
 
-@dataclass(frozen=True)
-class BranchCurve:
+class BranchCurve(_Record):
     """One branch curve: two sheets merging into one side of the locus."""
 
-    id: str
-    merged_side: str
-    sheet_sides: tuple
-    self_intersections: int
-    orientation_relation: tuple
+    __slots__ = ("id", "merged_side", "sheet_sides", "self_intersections", "orientation_relation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sheet_sides", tuple(self.sheet_sides))
-        object.__setattr__(self, "orientation_relation", tuple(self.orientation_relation))
+    def __init__(self, id, merged_side, sheet_sides, self_intersections, orientation_relation):
+        self._set(id, merged_side, tuple(sheet_sides), self_intersections,
+                  tuple(orientation_relation))
         if len(self.sheet_sides) != 2 or len(self.orientation_relation) != 2:
             raise ModelError(f"curve {self.id}: need two sheet sides and two relations")
         if any(r not in _RELATIONS for r in self.orientation_relation):
@@ -42,23 +37,15 @@ class BranchCurve:
             raise ModelError(f"curve {self.id}: negative self-intersection count")
 
 
-@dataclass(frozen=True)
-class BranchedSurfaceModel:
-    sectors: tuple
-    branch_curves: tuple
-    horizontal_boundary: tuple
-    compressing_disks: tuple
+class BranchedSurfaceModel(_Record):
+    __slots__ = ("sectors", "branch_curves", "horizontal_boundary", "compressing_disks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple((str(i), int(c)) for i, c in self.sectors))
-        object.__setattr__(self, "branch_curves", tuple(self.branch_curves))
-        object.__setattr__(
-            self,
-            "horizontal_boundary",
-            tuple((str(i), int(g), int(n)) for i, g, n in self.horizontal_boundary),
-        )
-        object.__setattr__(
-            self, "compressing_disks", tuple((str(d), str(b)) for d, b in self.compressing_disks)
+    def __init__(self, sectors, branch_curves, horizontal_boundary, compressing_disks):
+        self._set(
+            tuple((str(i), int(c)) for i, c in sectors),
+            tuple(branch_curves),
+            tuple((str(i), int(g), int(n)) for i, g, n in horizontal_boundary),
+            tuple((str(d), str(b)) for d, b in compressing_disks),
         )
         _check(self)
 
@@ -210,15 +197,14 @@ _MULTI_SECTOR_NOTE = (
 _VERDICTS = ("persistently-laminar", "essential-only-unknown", "fails")
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    branch_curve_embedded: bool
-    carries_no_closed_surface: bool
-    transversely_orientable: bool
-    disks_on_distinct_components: bool
-    incompressibility_certified: bool
-    verdict: str
-    notes: tuple
+class CertificateReport(
+    namedtuple(
+        "CertificateReport",
+        "branch_curve_embedded carries_no_closed_surface transversely_orientable "
+        "disks_on_distinct_components incompressibility_certified verdict notes",
+    )
+):
+    __slots__ = ()
 
     def flags(self):
         return (

@@ -6,20 +6,23 @@ the same payload as a JSON object with repeated keys collected into lists.
 `construct` subcommands print raw PD text so their output pipes straight
 into file-consuming subcommands.  Exit codes: 0 ok, 1 domain error,
 2 usage error.
+
+Only `construct` and `paperlist --check` import the construction code, and
+only --json imports `json`, so a process pays for the modules its subcommand
+uses.  The names the benchmark's layer tracer wraps stay bound here at
+module level.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
 from .diagram import KnotlabError, ParseError, parse_pd, serialize_pd, validate
 from .invariants import invariant_tuple
 from .seifert import incompressibility_certificate, seifert_circles
-from . import constructions
 from .branched import build_bf, parse_model, persistence_certificate, serialize_model
 from .knotdb import bundled_table, identify, load_table, paper_list
 
@@ -36,6 +39,8 @@ class _Report:
     def emit(self, as_json, status="ok"):
         self.pairs.append(("status", status))
         if as_json:
+            import json
+
             obj = {}
             for k, v in self.pairs:
                 if k in obj:
@@ -120,6 +125,8 @@ def _cmd_seifert(args):
 
 
 def _parse_cf(text):
+    from . import constructions
+
     parts = text.replace(",", " ").split()
     if not parts:
         raise constructions.ConstructionError("empty continued fraction")
@@ -130,6 +137,8 @@ def _parse_cf(text):
 
 
 def _cmd_construct(args):
+    from . import constructions
+
     if args.kind == "torus":
         pd = constructions.torus_2n(args.n)
     elif args.kind == "twist":
@@ -207,6 +216,8 @@ def _cmd_paperlist(args):
     rep = _Report("paperlist")
     rep.add("count", len(names))
     if args.check:
+        from . import constructions
+
         table = bundled_table()
         failures = []
         for n in range(3):

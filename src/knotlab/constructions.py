@@ -7,10 +7,9 @@ rational determinants) and locked in by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .diagram import KnotlabError, PlanarDiagram, validate, writhe, _occurrences, _valid
+from .diagram import KnotlabError, validate, writhe, _occurrences, _Record, _valid
 from .wiring import StrandGraph
 
 
@@ -24,18 +23,17 @@ class ConstructionError(KnotlabError):
 MAX_CROSSINGS = 10_000
 
 
-@dataclass(frozen=True)
-class TwoBridgeFraction:
+class TwoBridgeFraction(_Record):
     """2-bridge fraction p/q in lowest terms, 0 < q < p (q = 0 only for p = 1).
 
     Two fractions present the same knot iff q' = q or q*q' = 1 (mod p);
     replacing q by p - q mirrors the knot.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
+    def __init__(self, p, q):
+        self._set(p, q)
         if self.p < 1 or not 0 <= self.q < max(self.p, 2):
             raise ConstructionError(f"fraction {self.p}/{self.q} out of range")
         if self.p > 1 and gcd(self.p, self.q) != 1:
@@ -295,8 +293,7 @@ def cable2(pd, f):
     return _validated_knot(g.to_diagram(), "cable")
 
 
-@dataclass(frozen=True)
-class DoubleSpec:
+class DoubleSpec(_Record):
     """Twisted Whitehead double parameters.
 
     ``twists`` is the absolute number of full twists in the pattern
@@ -306,11 +303,10 @@ class DoubleSpec:
     Alexander polynomial m - (2m+1)t + mt^2 with m = |twists|.
     """
 
-    companion: PlanarDiagram
-    twists: int
-    clasp: int
+    __slots__ = ("companion", "twists", "clasp")
 
-    def __post_init__(self):
+    def __init__(self, companion, twists, clasp):
+        self._set(companion, twists, clasp)
         if self.clasp not in (1, -1):
             raise ConstructionError(f"clasp must be +1 or -1, got {self.clasp}")
 

@@ -17,7 +17,7 @@ connected 4-valent diagram with C crossings must have C + 2 faces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -37,36 +37,80 @@ class InconsistencyError(KnotlabError):
     """Two supposedly-equivalent internal computations disagreed."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    a: int
-    b: int
-    c: int
-    d: int
+class _Record:
+    """Immutable value record whose fields are its `__slots__`.
+
+    Records compare, hash and print by their field values in slot order, the
+    way frozen dataclasses do.  `__init__` stores the fields through `_set`,
+    after normalising them, and validates them afterwards.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class Crossing(namedtuple("Crossing", "a b c d")):
+    __slots__ = ()
 
     def slots(self):
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
-    crossings: tuple
+class PlanarDiagram(_Record):
+    """The crossings of a diagram, in input order.
 
-    def __post_init__(self):
+    Not a tuple, so a diagram is never mistaken for a (diagram, name) pair.
+    """
+
+    __slots__ = ("crossings",)
+
+    def __init__(self, crossings):
         # the resolve cache hashes diagrams, so a list of crossings must not stay a list
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        self._set(tuple(crossings))
+
+    # the resolve cache compares and hashes a diagram per lookup
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.crossings == other.crossings
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.crossings,))
 
     def __len__(self):
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple
-    crossing_count: int
-    component_count: int
-    face_count: int
+ValidationReport = namedtuple(
+    "ValidationReport", "ok failures crossing_count component_count face_count"
+)
 
 
 def parse_pd(text):

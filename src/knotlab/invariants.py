@@ -23,7 +23,7 @@ implementation to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import InconsistencyError, checkerboard, _require_knot, _valid
 from .laurent import LaurentPoly, ONE, T, det_int, det_laurent, symmetric_signature
@@ -34,12 +34,10 @@ _T_MINUS_ONE = T - ONE
 _MINUS_ONE = -ONE
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
-    alexander: LaurentPoly
-    determinant: int
-    signature: int
-    genus_lower_bound: int
+class InvariantTuple(
+    namedtuple("InvariantTuple", "alexander determinant signature genus_lower_bound")
+):
+    __slots__ = ()
 
     def key(self):
         return (self.alexander, self.determinant, self.signature, self.genus_lower_bound)

@@ -8,10 +8,10 @@ distinct knots sharing a tuple are reported, never silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
-from .diagram import KnotlabError, parse_pd, serialize_pd, validate
+from .diagram import KnotlabError, _Record, parse_pd, serialize_pd, validate
 from .laurent import LaurentPoly
 from .invariants import InvariantTuple, invariant_tuple
 
@@ -23,24 +23,17 @@ class TableError(KnotlabError):
 KNOWN_FLAGS = frozenset({"alternating", "twist-knot", "persistently-laminar-paper-table"})
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    name: str
-    pd: object
-    invariants: InvariantTuple
-    flags: frozenset
+class KnotRecord(_Record):
+    __slots__ = ("name", "pd", "invariants", "flags")
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", frozenset(self.flags))
+    def __init__(self, name, pd, invariants, flags):
+        self._set(name, pd, invariants, frozenset(flags))
         unknown = self.flags - KNOWN_FLAGS
         if unknown:
             raise TableError(f"record {self.name}: unknown flags {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class IdentificationResult:
-    matches: tuple
-    ambiguous: bool
+IdentificationResult = namedtuple("IdentificationResult", "matches ambiguous")
 
 
 def serialize_table(records):
@@ -60,6 +53,9 @@ def serialize_table(records):
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
+_FIELDS = ("name", "flags", "alexander", "det", "sig")
+
+
 def _parse_block(block):
     fields = {}
     pd_lines = []
@@ -75,10 +71,12 @@ def _parse_block(block):
             in_pd = True
             continue
         key, _, rest = line.partition(" ")
+        if key not in _FIELDS:
+            raise TableError(f"record block has an unknown '{key}' line")
         if key in fields:
             raise TableError(f"record block repeats its '{key}' line")
         fields[key] = rest.strip()
-    for key in ("name", "flags", "alexander", "det", "sig"):
+    for key in _FIELDS:
         if key not in fields:
             raise TableError(f"record block missing '{key}' line")
     if not fields["name"]:

@@ -8,25 +8,25 @@ is (C - s + 1)/2 for a knot diagram with C crossings and s circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagram import InconsistencyError, is_alternating, _orbits, _ParityUnionFind, _require_knot
 from . import invariants
 
 
-@dataclass(frozen=True)
-class SeifertDecomposition:
-    circle_count: int
-    circle_membership: dict  # edge label -> circle index
-    seifert_graph: tuple  # one (circle, circle) pair per crossing
-    genus: int
+# circle_membership maps edge label -> circle index; seifert_graph holds one
+# (circle, circle) pair per crossing
+SeifertDecomposition = namedtuple(
+    "SeifertDecomposition", "circle_count circle_membership seifert_graph genus"
+)
 
 
-@dataclass(frozen=True)
-class IncompressibilityCertificate:
-    method: str  # "alternating" | "span-equality" | "none"
-    seifert_genus: int
-    span_half: int
+class IncompressibilityCertificate(
+    namedtuple("IncompressibilityCertificate", "method seifert_genus span_half")
+):
+    """`method` is "alternating", "span-equality" or "none"."""
+
+    __slots__ = ()
 
     @property
     def certified(self):

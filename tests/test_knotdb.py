@@ -131,6 +131,8 @@ def test_load_rejects_missing_fields_and_bad_flags():
         parse_table(good.replace("name 3_1", "name 3_1\nname 3_1b"))
     with pytest.raises(TableError, match="empty 'name'"):
         parse_table(good.replace("name 3_1", "name"))
+    with pytest.raises(TableError, match="unknown 'colour' line"):
+        parse_table(good.replace("det 3\n", "det 3\ncolour red\n"))
 
 
 def test_record_flag_validation():
