@@ -6,7 +6,10 @@ determinant) that must agree, and the signature from the Goeritz form with
 the Gordon-Litherland correction.  One sparse elimination of the Goeritz form
 gives both its signature and its determinant, the product of its pivots;
 the dense Bareiss det_int is kept only as the reference the tests compare
-that determinant against.
+that determinant against.  Both checkerboard colors give the same signature
+and |det| (Gordon-Litherland), so invariant_tuple eliminates the form of the
+color with fewer faces, white on a tie: on a long twist region one color
+holds nearly every face and the other only a few.
 
 Sign conventions, fixed once and anchored by the positive trefoil:
 
@@ -17,8 +20,7 @@ Sign conventions, fixed once and anchored by the positive trefoil:
 * signature = sig(Goeritz form with one face deleted) - mu, where
   mu = sum of eta over type II crossings.  Positive trefoil: -2.
 
-Both checkerboard colors give the same signature; the test suite holds the
-implementation to that.
+The test suite holds both colors to the same signature and |det|.
 """
 
 from __future__ import annotations
@@ -111,16 +113,22 @@ def alexander(pd, drop_column=0, drop_row=None):
     return det_laurent(minor).canonical()
 
 
-def _goeritz(pd, color):
+def _goeritz(pd, color=None):
     """Goeritz form of one checkerboard color plus the correction term.
 
-    Returns (sparse rows of the form with the anchor face deleted, mu), in
-    the row format symmetric_signature reads.  A crossing between carrier
-    faces i != j adds eta to entries (i, i) and (j, j) and -eta to (i, j) and
-    (j, i).
+    color is "white", "black", or None for the color with fewer faces (white
+    on a tie), whose form is the smallest.  Returns (sparse rows of the form
+    with the anchor face deleted, mu), in the row format symmetric_signature
+    reads.  A crossing between carrier faces i != j adds eta to entries
+    (i, i) and (j, j) and -eta to (i, j) and (j, i).  Raises ValueError for
+    any other color.
     """
+    if color not in (None, "white", "black"):
+        raise ValueError(f"color must be 'white', 'black' or None, not {color!r}")
     rr = _valid(pd)
     colors = checkerboard(pd)
+    if color is None:
+        color = "black" if 2 * colors.count("black") < len(colors) else "white"
     carrier = [i for i, c in enumerate(colors) if c == color]
     pos = {f: k - 1 for k, f in enumerate(carrier)}  # the anchor face maps to -1
     rows = [{} for _ in carrier[1:]]
@@ -145,7 +153,7 @@ def _goeritz(pd, color):
     return rows, mu
 
 
-def signature(pd, color="white"):
+def signature(pd, color=None):
     _require_knot(pd)
     rows, mu = _goeritz(pd, color)
     return symmetric_signature(rows)[0] - mu
@@ -168,15 +176,15 @@ def genus_lower_bound(pd):
 
 
 def invariant_tuple(pd):
-    """All four invariants from one Alexander polynomial and one Goeritz form,
-    each consistency check made once."""
+    """All four invariants from one Alexander polynomial and the smaller
+    Goeritz form, each consistency check made once."""
     delta = alexander(pd)
     at_one = delta.evaluate(1)
     if at_one not in (1, -1):
         raise InconsistencyError(f"Alexander(1) = {at_one}, expected +-1")
     if not delta.is_palindromic():
         raise InconsistencyError(f"Alexander polynomial not palindromic: {delta}")
-    rows, mu = _goeritz(pd, "white")
+    rows, mu = _goeritz(pd)
     sig, from_goeritz = symmetric_signature(rows)
     det = abs(delta.evaluate(-1))
     if det != abs(from_goeritz):

@@ -7,8 +7,6 @@ pivots).  No floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class LaurentPoly:
     """A Laurent polynomial sum c_k t^k with integer coefficients.
@@ -165,8 +163,12 @@ class LaurentPoly:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        if self.offset:
-            acc = acc * Fraction(x) ** self.offset if self.offset < 0 else acc * x ** self.offset
+        if self.offset > 0:
+            acc = acc * x**self.offset
+        elif self.offset < 0:
+            from fractions import Fraction  # loads decimal: only a negative offset pays for it
+
+            acc = acc * Fraction(x) ** self.offset
         return acc
 
     def canonical(self):
@@ -293,10 +295,13 @@ def det_laurent(rows):
     its units, recomputed only when an update touches the row.  The update
     row -= (row[j] / unit) * pivot row is one pass over coefficient lists per
     entry.  When no unit is left, the residual block goes to
-    det_laurent_bareiss.  Once a pivot's column is cleared, Laplace expansion
-    along it gives the pivot times its cofactor, so the determinant is the
-    product of the pivots, the residual determinant, and the sign of the
-    row and column orders that put the pivots first, taken once at the end.
+    det_laurent_bareiss, its rows in order of span and its columns in order
+    of total entry span, ties by index: Bareiss pivots down the diagonal, so
+    low-degree pivots come first and keep the products small.  Once a
+    pivot's column is cleared, Laplace expansion along it gives the pivot
+    times its cofactor, so the determinant is the product of the pivots, the
+    residual determinant, and the sign of the row and column orders that put
+    the pivots first (the residual's order included), taken once at the end.
     Raises ValueError when the matrix is not square.
     """
     _require_square(rows)
@@ -376,9 +381,18 @@ def det_laurent(rows):
             if not row:
                 return LaurentPoly()
             units[k] = _unit_columns(row)
-    rest_rows = [i for i in range(n) if live[i] is not None]
+    # sorted is stable: ties keep index order
+    rest_rows = sorted(
+        (i for i in range(n) if live[i] is not None),
+        key=lambda i: max(e.offset + len(e.coeffs) - 1 for e in live[i].values())
+        - min(e.offset for e in live[i].values()),
+    )
+    col_span = {}
+    for i in rest_rows:
+        for j, e in live[i].items():
+            col_span[j] = col_span.get(j, 0) + len(e.coeffs) - 1
     pivoted = set(col_order)
-    rest_cols = [j for j in range(n) if j not in pivoted]
+    rest_cols = sorted((j for j in range(n) if j not in pivoted), key=lambda j: col_span.get(j, 0))
     zero = LaurentPoly()
     residual = [[live[i].get(j, zero) for j in rest_cols] for i in rest_rows]
     d = det_laurent_bareiss(residual).shifted(shift)
@@ -411,6 +425,8 @@ def symmetric_signature(rows):
     Returns (signature, determinant).  Raises ValueError when a column is not
     an int in range(len(rows)) or the rows are not symmetric.
     """
+    from fractions import Fraction  # loads decimal: processes that need no signature skip it
+
     n = len(rows)
     live = {}  # row index -> {column: nonzero int or Fraction}; empty rows are dropped
     for i, r in enumerate(rows):

@@ -2,9 +2,11 @@
 
 import pytest
 
-from knotlab.constructions import cable2, rational_knot, torus_2n
-from knotlab.diagram import ValidationError, mirror, parse_pd
+from knotlab import invariants
+from knotlab.constructions import DoubleSpec, cable2, rational_knot, torus_2n, whitehead_double
+from knotlab.diagram import ValidationError, checkerboard, mirror, parse_pd
 from knotlab.invariants import (
+    _goeritz,
     _goeritz_determinant,
     alexander,
     alexander_matrix,
@@ -13,6 +15,7 @@ from knotlab.invariants import (
     invariant_tuple,
     signature,
 )
+from knotlab.knotdb import bundled_table
 from knotlab.laurent import LaurentPoly
 from knotlab.moves import reidemeister_perturb
 
@@ -83,6 +86,66 @@ def test_signature_of_large_forms():
     cable = cable2(cable2(cable2(TREFOIL, 1), 1), 1)
     assert len(cable) == 353
     assert signature(cable, "white") == signature(cable, "black")
+
+
+@pytest.mark.parametrize("color", ["red", "White", "", 0])
+def test_signature_rejects_unknown_colors(color):
+    """A bad color is the caller's error, not an inconsistent diagram."""
+    with pytest.raises(ValueError, match=f"color must be 'white', 'black' or None, not {color!r}"):
+        signature(TREFOIL, color)
+    with pytest.raises(ValueError, match="color must be"):
+        _goeritz(TREFOIL, color)
+
+
+# Twist regions put nearly every face in one color: 401/2, 2/401 and 301/13
+# faces (white/black); then a 50-crossing rational knot (34/18) and the table
+# records whose colors tie (3/3, 4/4 and 5/5 faces).
+_TABLE = {rec.name: rec.pd for rec in bundled_table()}
+SMALLER_COLOR_CASES = {
+    "torus401": torus_2n(401),
+    "torus-401": torus_2n(-401),
+    "double312": whitehead_double(DoubleSpec(torus_2n(5), 150, 1)),
+    "rational50": rational_knot([3, 7, 11, 9, 20]),
+    "4_1": _TABLE["4_1"],
+    "6_3": _TABLE["6_3"],
+    "8_9": _TABLE["8_9"],
+}
+
+
+@pytest.fixture
+def goeritz_forms(monkeypatch):
+    """The rows invariant_tuple hands to symmetric_signature, in call order."""
+    forms = []
+    real = invariants.symmetric_signature
+
+    def recording_signature(rows):
+        forms.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(invariants, "symmetric_signature", recording_signature)
+    return forms
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [("torus401", 1), ("torus-401", 1), ("double312", 12)],
+)
+def test_invariant_tuple_eliminates_the_smaller_form(goeritz_forms, name, rows):
+    invariant_tuple(SMALLER_COLOR_CASES[name])
+    assert [len(form) for form in goeritz_forms] == [rows]
+
+
+@pytest.mark.parametrize("name", list(SMALLER_COLOR_CASES))
+def test_smaller_color_agrees_with_both_colors(goeritz_forms, name):
+    pd = SMALLER_COLOR_CASES[name]
+    tup = invariant_tuple(pd)
+    colors = checkerboard(pd)
+    smaller = "black" if colors.count("black") < colors.count("white") else "white"
+    assert goeritz_forms == [_goeritz(pd, smaller)[0]]  # white on a tie
+    for color in ("white", "black"):
+        assert tup.signature == signature(pd, color)
+        assert tup.determinant == _goeritz_determinant(pd, color)
+    assert signature(pd) == tup.signature
 
 
 def test_determinant_two_routes():

@@ -233,6 +233,17 @@ def test_det_laurent_iterated_cable(residuals):
     assert residuals == [7]
 
 
+def test_det_laurent_triple_cable(residuals):
+    """353 crossings; a third (2, 1) cable gives 1 - t^8 + t^16.  The
+    15 x 15 residual goes to Bareiss in span order, and the exact unit,
+    sign included, pins the parity that absorbs the reordering."""
+    rows = _fox_minor(cable2(cable2(cable2(torus_2n(3), 1), 1), 1))
+    d = det_laurent(rows)
+    assert d.canonical() == LaurentPoly([1] + [0] * 7 + [-1] + [0] * 7 + [1])
+    assert d == LaurentPoly([-1] + [0] * 7 + [1] + [0] * 7 + [-1], 175)
+    assert residuals == [15]
+
+
 def test_det_laurent_known_values():
     t = LaurentPoly.t_power(1)
     one = LaurentPoly.const(1)

@@ -77,6 +77,16 @@ def test_subcommands_import_what_they_use(argv, loaded):
     assert _loaded_by(body, stdin="X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n") == loaded
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["seifert"], ["bf", "--genus", "1"]], ids=["validate", "seifert", "bf"]
+)
+def test_commands_without_a_signature_skip_fractions(argv):
+    """Only the Goeritz signature needs Fraction, and importing it loads decimal."""
+    body = f"from knotlab import cli\ncli.main({argv!r})"
+    probe = _PROBE.format(body=body, names=("fractions", "decimal"))
+    assert _fresh(probe, stdin="X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n") == "[]"
+
+
 def test_package_import_defers_submodules_to_first_use():
     assert _loaded_by("import knotlab") == "[]"
     assert _loaded_by("import knotlab\nknotlab.moves") == "['knotlab.moves', 'knotlab.wiring']"
