@@ -85,31 +85,39 @@ def _check_size(total):
 
 
 def _twist_nodes(g, count, positive):
-    _check_size(len(g.over_vertical) + count)
-    return [g.add_node(positive) for _ in range(count)]
+    """`count` new nodes and their compass ports (sw, se, ne, nw).
+
+    Ports run counterclockwise with the over-strand on ports 1 and 3, so a
+    positive crossing, whose over-strand runs SW-NE, is numbered from SE.
+    """
+    _check_size(len(g.nodes) + count)
+    return [g.add_node() for _ in range(count)], (3, 0, 1, 2) if positive else (0, 1, 2, 3)
 
 
 def _h_chain(g, count, positive):
     """Horizontal twist region: `count` crossings between two west-east strands.
 
-    Node ports counterclockwise: 0=SW, 1=SE, 2=NE, 3=NW.
+    Each node's east ports wire to the west ports of the next.
     """
-    ids = _twist_nodes(g, count, positive)
+    ids, (sw, se, ne, nw) = _twist_nodes(g, count, positive)
     for a, b in zip(ids, ids[1:]):
-        g.connect((a, 2), (b, 3))
-        g.connect((a, 1), (b, 0))
+        g.connect((a, ne), (b, nw))
+        g.connect((a, se), (b, sw))
     first, last = ids[0], ids[-1]
-    return (first, 3), (last, 2), (first, 0), (last, 1)
+    return (first, nw), (last, ne), (first, sw), (last, se)
 
 
 def _v_chain(g, count, positive):
-    """Vertical twist region: strands enter at the north, exit at the south."""
-    ids = _twist_nodes(g, count, positive)
+    """Vertical twist region: strands enter at the north, exit at the south.
+
+    Each node's south ports wire to the north ports of the next.
+    """
+    ids, (sw, se, ne, nw) = _twist_nodes(g, count, positive)
     for a, b in zip(ids, ids[1:]):
-        g.connect((a, 0), (b, 3))
-        g.connect((a, 1), (b, 2))
+        g.connect((a, sw), (b, nw))
+        g.connect((a, se), (b, ne))
     first, last = ids[0], ids[-1]
-    return (first, 3), (first, 2), (last, 0), (last, 1)
+    return (first, nw), (first, ne), (last, sw), (last, se)
 
 
 # Handedness conventions for twist regions, anchored by rational_knot([3])
@@ -245,7 +253,7 @@ def _doubled_with_gap(pd):
     g = StrandGraph()
     tiles = []
     for _ in range(len(pd)):
-        nodes = {name: g.add_node(False) for name in ("ws", "wn", "es", "en")}
+        nodes = {name: g.add_node() for name in ("ws", "wn", "es", "en")}
         g.connect((nodes["ws"], 2), (nodes["wn"], 0))
         g.connect((nodes["es"], 2), (nodes["en"], 0))
         g.connect((nodes["es"], 3), (nodes["ws"], 1))

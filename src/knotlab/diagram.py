@@ -455,7 +455,3 @@ def gauss_code(pd):
             s = "+" if rr.signs[ci] > 0 else "-"
             tokens.append(f"{role}{ci + 1}{s}")
     return " ".join(tokens)
-
-
-TREFOIL_PD = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n"
-KINK_PD = "X 1,2,2,1\n"

@@ -15,7 +15,8 @@ many, are counted and only the drawn one is built; it is the site
 ``move_candidates`` lists at the drawn index, so the listed and the drawn
 sites are the same.
 
-Conventions used by the rewirings:
+Ports are PD slots (``knotlab.wiring``), so a port's level is its parity:
+odd ports carry the over-strand.  Conventions used by the rewirings:
 
 * r1+  cuts a wire and inserts a one-crossing loop; four variants cover both
   chiralities on both sides of the strand.
@@ -46,10 +47,6 @@ class MoveError(KnotlabError):
     pass
 
 
-def _role_over(g, port):
-    return port[1] in g.over_pair(port[0])
-
-
 def _spliceable(g, nodes):
     try:
         g.splice_pairs(nodes)
@@ -71,7 +68,7 @@ def _apply_r1_add(g, site):
     (a, b), variant = site
     entry, p, q, exit_ = _R1_ADD_PORTS[variant]
     g.disconnect(a)
-    k = g.add_node(False)
+    k = g.add_node()
     g.connect(a, (k, entry))
     g.connect((k, p), (k, q))
     g.connect((k, exit_), b)
@@ -142,8 +139,8 @@ def _apply_r2_add(g, site):
     (x, y), (u, v) = _R2_ADD_PORTS[variant]
     g.disconnect(alpha)
     g.disconnect(gamma)
-    c1 = g.add_node(False)
-    c2 = g.add_node(False)
+    c1 = g.add_node()
+    c2 = g.add_node()
     g.connect(beta, (c1, x))
     g.connect((c1, y), (c2, y))
     g.connect((c2, x), alpha)
@@ -154,7 +151,7 @@ def _apply_r2_add(g, site):
 
 def _candidates_r2_remove(g):
     out = []
-    if len(g.over_vertical) < 3:
+    if len(g.nodes) < 3:
         return out  # removal must leave at least one crossing
     for face in g.faces():
         if len(face) != 2:
@@ -165,7 +162,7 @@ def _candidates_r2_remove(g):
             continue
         if g.conn[h1] == h2:
             continue  # single wire doubling back
-        if _role_over(g, h1) != _role_over(g, g.conn[h1]):
+        if h1[1] % 2 != g.conn[h1][1] % 2:
             continue  # strand changes level across the bigon
         if not _spliceable(g, {n1, n2}):
             continue
@@ -184,7 +181,7 @@ def _candidates_r3(g):
     for face in g.faces():
         if len(face) != 3 or len({h[0] for h in face}) != 3:
             continue
-        if not any(_role_over(g, h) and _role_over(g, g.conn[h]) for h in face):
+        if not any(h[1] % 2 and g.conn[h][1] % 2 for h in face):
             continue  # cyclic triangle: no strand runs over both crossings
         k = face.index(min(face))
         out.append(face[k:] + face[:k])
@@ -261,7 +258,7 @@ def _random_step(g, rng, cap):
     """Apply one random move: a kind uniformly among the kinds that have
     sites, then a site uniformly in that kind's candidate order."""
     options = []
-    size = len(g.over_vertical)
+    size = len(g.nodes)
     for kind in MOVE_KINDS:
         if kind.endswith("+") and size + 2 > cap:
             continue

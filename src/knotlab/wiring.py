@@ -1,10 +1,11 @@
 """Mutable 4-valent port graphs behind diagram surgery.
 
-A node is a crossing with ports 0..3 in counterclockwise order; one opposite
-port pair carries the over-strand (ports 1,3 unless over_vertical).  Wires
-connect ports.  Tracing a fully wired graph orients every strand, numbers the
-edges consecutively along each component and emits a PD diagram, so code that
-builds or mutates graphs never has to manage edge labels itself.
+A node is a crossing whose ports 0..3 are its PD slots, in counterclockwise
+order and up to the half turn that the under-strand's direction picks: ports
+0 and 2 carry the under-strand and ports 1 and 3 the over-strand.  Wires
+connect ports.  Tracing a fully wired graph orients every strand, numbers
+the edges consecutively along each component and emits a PD diagram, so code
+that builds or mutates graphs never has to manage edge labels itself.
 """
 
 from __future__ import annotations
@@ -24,19 +25,22 @@ class StrandGraph:
     """
 
     def __init__(self):
-        self.over_vertical = {}
+        self.nodes = set()
         self.conn = {}
         self._next = 0
         self._faces = None
 
-    def add_node(self, over_vertical=False):
+    def add_node(self):
         nid = self._next
         self._next += 1
-        self.over_vertical[nid] = over_vertical
+        self.nodes.add(nid)
         self._faces = None
         return nid
 
     def connect(self, u, v):
+        for port in (u, v):
+            if port[0] not in self.nodes or port[1] not in (0, 1, 2, 3):
+                raise WiringError(f"no port {port} in the graph")
         if u == v:
             raise WiringError("cannot wire a port to itself")
         if u in self.conn or v in self.conn:
@@ -46,16 +50,20 @@ class StrandGraph:
         self._faces = None
 
     def disconnect(self, u):
+        if u not in self.conn:
+            raise WiringError(f"port {u} is not wired")
         v = self.conn.pop(u)
         del self.conn[v]
         self._faces = None
         return v
 
     def remove_node(self, nid):
+        if nid not in self.nodes:
+            raise WiringError(f"no node {nid} in the graph")
         for p in range(4):
             if (nid, p) in self.conn:
                 raise WiringError("remove_node on a wired node")
-        del self.over_vertical[nid]
+        self.nodes.remove(nid)
         self._faces = None
 
     def wires(self):
@@ -66,12 +74,6 @@ class StrandGraph:
                 out.append((u, v))
         out.sort()
         return out
-
-    def under_pair(self, nid):
-        return (1, 3) if self.over_vertical[nid] else (0, 2)
-
-    def over_pair(self, nid):
-        return (0, 2) if self.over_vertical[nid] else (1, 3)
 
     def splice_pairs(self, removed):
         """Outside port pairs to wire together once the node set is deleted.
@@ -117,14 +119,14 @@ class StrandGraph:
         Traced once per graph state; callers must not mutate the list.
         """
         if self._faces is None:
-            self._faces = _face_orbits(self.conn, sorted(self.over_vertical))
+            self._faces = _face_orbits(self.conn, sorted(self.nodes))
         return self._faces
 
     @classmethod
     def from_diagram(cls, pd):
         g = cls()
         for _ in pd.crossings:
-            g.add_node(False)
+            g.add_node()
         for lab, pair in _occurrences(pd).items():
             if len(pair) != 2:
                 raise WiringError(f"edge label {lab} does not appear exactly twice")
@@ -132,49 +134,34 @@ class StrandGraph:
         return g
 
     def to_diagram(self):
-        """Trace strands, number edges consecutively, emit the PD diagram."""
-        nodes = sorted(self.over_vertical)
+        """Trace strands, number edges consecutively, emit the PD diagram.
+
+        A wire's label is kept at the port the strand enters by, and each
+        crossing's slots start at the under port its node is entered by.
+        """
+        nodes = sorted(self.nodes)
+        conn = self.conn
         for nid in nodes:
             for p in range(4):
-                if (nid, p) not in self.conn:
+                if (nid, p) not in conn:
                     raise WiringError(f"unwired port {(nid, p)}")
         label = {}
-        head_of = {}
-
-        def wire_key(u):
-            v = self.conn[u]
-            return (u, v) if u < v else (v, u)
-
-        next_label = 1
+        entered = {}
         for nid in nodes:
-            start_ports = self.under_pair(nid) + self.over_pair(nid)
-            for p0 in start_ports:
-                w0 = wire_key((nid, p0))
-                if w0 in label:
-                    continue
-                # enter the component at (nid, p0); the wire feeding that port
-                # becomes the first edge of the component
-                label[w0] = next_label
-                head_of[w0] = (nid, p0)
-                next_label += 1
-                cur = (nid, p0)
-                while True:
-                    out_port = (cur[0], (cur[1] + 2) % 4)
-                    w = wire_key(out_port)
-                    if w in label:
-                        break
-                    label[w] = next_label
-                    nxt = self.conn[out_port]
-                    head_of[w] = nxt
-                    next_label += 1
-                    cur = nxt
+            for p in (0, 2, 1, 3):
+                # enter a component at (nid, p) unless its wire is labeled
+                port = (nid, p)
+                while port not in label and conn[port] not in label:
+                    label[port] = len(label) + 1
+                    n, q = port
+                    if q % 2 == 0:
+                        entered[n] = q
+                    port = conn[(n, (q + 2) % 4)]
         crossings = []
         for nid in nodes:
-            up = self.under_pair(nid)
-            unders_in = [p for p in up if head_of[wire_key((nid, p))] == (nid, p)]
-            if len(unders_in) != 1:
+            u = entered.get(nid)
+            if u is None:
                 raise WiringError(f"node {nid}: strand trace inconsistent")
-            u = unders_in[0]
-            slots = [label[wire_key((nid, (u + k) % 4))] for k in range(4)]
-            crossings.append(Crossing(*slots))
+            ports = [(nid, (u + k) % 4) for k in range(4)]
+            crossings.append(Crossing(*(label.get(q) or label[conn[q]] for q in ports)))
         return PlanarDiagram(tuple(crossings))

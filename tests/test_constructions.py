@@ -1,5 +1,7 @@
 """Rational, torus, pretzel, cable, and double constructions."""
 
+import hashlib
+
 import pytest
 
 from knotlab import constructions
@@ -17,8 +19,17 @@ from knotlab.constructions import (
     twist_knot,
     whitehead_double,
 )
-from knotlab.diagram import component_count, is_alternating, mirror, parse_pd, validate, writhe
+from knotlab.diagram import (
+    component_count,
+    is_alternating,
+    mirror,
+    parse_pd,
+    serialize_pd,
+    validate,
+    writhe,
+)
 from knotlab.invariants import alexander, determinant, invariant_tuple, signature
+from knotlab.knotdb import bundled_table
 from knotlab.wiring import StrandGraph
 
 KINK = parse_pd("X 1,2,2,1")
@@ -120,9 +131,10 @@ def test_pretzel():
 
 
 def test_pretzel_links_are_allowed_as_diagrams():
-    link = pretzel(2, 2, 2)
-    assert validate(link).ok
-    assert component_count(link) == 3
+    for columns, components in (((2, 2, 2), 3), ((2, 2, 3), 2)):
+        link = pretzel(*columns)
+        assert validate(link).ok, columns
+        assert component_count(link) == components, columns
 
 
 def test_cable2_anchors():
@@ -196,10 +208,10 @@ def test_twist_regions_are_capped(monkeypatch):
     assert len(torus_2n(MAX_CROSSINGS - 1)) == MAX_CROSSINGS - 1
     add_node = StrandGraph.add_node
 
-    def checked_add_node(self, over_vertical=False):
+    def checked_add_node(self):
         # the cap is checked before allocation, so no graph outgrows it
-        assert len(self.over_vertical) < MAX_CROSSINGS
-        return add_node(self, over_vertical)
+        assert len(self.nodes) < MAX_CROSSINGS
+        return add_node(self)
 
     monkeypatch.setattr(StrandGraph, "add_node", checked_add_node)
     for build in (
@@ -214,3 +226,20 @@ def test_twist_regions_are_capped(monkeypatch):
     ):
         with pytest.raises(ConstructionError, match="exceeds the limit"):
             build()
+
+
+def test_construction_outputs_are_pinned():
+    # invariants cannot see a relabelling: any change to the edge labels a
+    # construction emits changes this digest
+    ladder = [torus_2n(n) for n in (1, -1, 3, -3, 29, -29, 101)]
+    ladder += [twist_knot(c) for c in (4, 6, 10)]
+    ladder += [rational_knot(cf) for cf in ([2, 4], [3, 7, 11, 9, 20], [-2, 3, -3], [5, 1, 3])]
+    ladder += [pretzel(*p) for p in ((1, 1, 1), (-1, -1, -1), (3, -5, 7), (2, 3, 5))]
+    for rec in bundled_table()[:8]:
+        ladder += [cable2(rec.pd, f) for f in (1, 3, -5)]
+        ladder += [whitehead_double(DoubleSpec(rec.pd, t, 1)) for t in (1, -2, 3)]
+    ladder += [paper_family(n)[0] for n in range(3)]
+    h = hashlib.sha256()
+    for pd in ladder:
+        h.update(serialize_pd(pd).encode())
+    assert h.hexdigest() == "d816afe452a2456c83a9be7e11520a3d32852d0647c88fad0ba21223d3c73f87"

@@ -52,18 +52,18 @@ def _probed_removals(g, kind):
     if kind == "r1-":
         sites = [
             ((nid, (p, (p + 1) % 4)), {nid})
-            for nid in sorted(g.over_vertical)
+            for nid in sorted(g.nodes)
             for p in range(4)
             if g.conn[(nid, p)] == (nid, (p + 1) % 4)
         ]
     else:
         sites = []
-        for face in g.faces() if len(g.over_vertical) >= 3 else []:
+        for face in g.faces() if len(g.nodes) >= 3 else []:
             if len(face) != 2:
                 continue
             h1, h2 = sorted(face)
             e = g.conn[h1]
-            level = (h1[1] in g.over_pair(h1[0]), e[1] in g.over_pair(e[0]))
+            level = (h1[1] % 2, e[1] % 2)  # odd ports carry the over-strand
             if h1[0] != h2[0] and e != h2 and level[0] == level[1]:
                 sites.append(((h1, h2), {h1[0], h2[0]}))
         sites.sort(key=lambda s: s[0])

@@ -22,6 +22,24 @@ def test_connect_discipline():
     assert g.wires() == [((a, 0), (b, 2))]
 
 
+def test_unknown_ports_and_nodes_are_refused():
+    g = StrandGraph()
+    a = g.add_node()
+    b = g.add_node()
+    with pytest.raises(WiringError, match=r"\(7, 1\)"):
+        g.connect((a, 0), (7, 1))  # node 7 was never added
+    with pytest.raises(WiringError, match=r"\(0, 4\)"):
+        g.connect((a, 4), (b, 4))  # a node has ports 0..3 only
+    with pytest.raises(WiringError, match=r"\(0, 0\)"):
+        g.disconnect((a, 0))  # unwired port
+    with pytest.raises(WiringError, match="node 3"):
+        g.remove_node(3)
+    assert g.conn == {}
+    assert g.nodes == {a, b}
+    with pytest.raises(WiringError, match="node 3"):
+        StrandGraph().remove_node(3)
+
+
 def test_remove_node_requires_unwired():
     g = StrandGraph()
     a = g.add_node()
@@ -31,15 +49,7 @@ def test_remove_node_requires_unwired():
         g.remove_node(a)
     g.disconnect((a, 0))
     g.remove_node(a)
-    assert a not in g.over_vertical
-
-
-def test_over_under_pairs_follow_flag():
-    g = StrandGraph()
-    flat = g.add_node(over_vertical=False)
-    tall = g.add_node(over_vertical=True)
-    assert g.under_pair(flat) == (0, 2) and g.over_pair(flat) == (1, 3)
-    assert g.under_pair(tall) == (1, 3) and g.over_pair(tall) == (0, 2)
+    assert a not in g.nodes
 
 
 def test_from_to_diagram_round_trip():
@@ -66,7 +76,7 @@ def test_splice_out_reconnects_through_strands():
     kinked = reidemeister_perturb(TREFOIL, moves=[("r1+", 0)])
     g = StrandGraph.from_diagram(kinked)
     kink_node = next(
-        nid for nid in g.over_vertical
+        nid for nid in g.nodes
         if any(g.conn[(nid, p)][0] == nid for p in range(4))
     )
     g.splice_out({kink_node})
@@ -78,14 +88,14 @@ def test_splice_out_reconnects_through_strands():
 
 def test_splice_out_refuses_stranded_loops():
     g = StrandGraph.from_diagram(parse_pd("X 1,2,2,1"))
-    conn, over_vertical = dict(g.conn), dict(g.over_vertical)
+    conn, nodes = dict(g.conn), set(g.nodes)
     with pytest.raises(WiringError):
-        g.splice_pairs(set(g.over_vertical))
+        g.splice_pairs(set(g.nodes))
     with pytest.raises(WiringError):
-        g.splice_out(set(g.over_vertical))
+        g.splice_out(set(g.nodes))
     # the refusal is decided before any wire is touched
     assert g.conn == conn
-    assert g.over_vertical == over_vertical
+    assert g.nodes == nodes
 
 
 def test_faces_counts_match_euler():
@@ -106,7 +116,7 @@ def _assert_fresh_faces(g):
     """g.faces() is what a fresh trace of the current wiring gives; a graph
     with an unwired port has no faces, and must not answer from a stale trace."""
     try:
-        want = _face_orbits(g.conn, sorted(g.over_vertical))
+        want = _face_orbits(g.conn, sorted(g.nodes))
     except KeyError:
         with pytest.raises(KeyError):
             g.faces()
@@ -130,7 +140,7 @@ def test_faces_are_forgotten_on_every_mutation():
     kinked = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=[("r1+", 0)]))
     _assert_fresh_faces(kinked)
     kink = next(
-        n for n in kinked.over_vertical if any(kinked.conn[(n, p)][0] == n for p in range(4))
+        n for n in kinked.nodes if any(kinked.conn[(n, p)][0] == n for p in range(4))
     )
     kinked.splice_out({kink})
     _assert_fresh_faces(kinked)
