@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diagram import KnotlabError, _ParityUnionFind, _Record
+from .diagram import KnotlabError, _ParityUnionFind
 
 
 class ModelError(KnotlabError):
@@ -21,33 +21,42 @@ class ModelError(KnotlabError):
 _RELATIONS = ("same", "opposite")
 
 
-class BranchCurve(_Record):
+class BranchCurve(
+    namedtuple("BranchCurve", "id merged_side sheet_sides self_intersections orientation_relation")
+):
     """One branch curve: two sheets merging into one side of the locus."""
 
-    __slots__ = ("id", "merged_side", "sheet_sides", "self_intersections", "orientation_relation")
+    __slots__ = ()
 
-    def __init__(self, id, merged_side, sheet_sides, self_intersections, orientation_relation):
-        self._set(id, merged_side, tuple(sheet_sides), self_intersections,
-                  tuple(orientation_relation))
+    def __new__(cls, id, merged_side, sheet_sides, self_intersections, orientation_relation):
+        self = super().__new__(cls, id, merged_side, tuple(sheet_sides), self_intersections,
+                               tuple(orientation_relation))
         if len(self.sheet_sides) != 2 or len(self.orientation_relation) != 2:
             raise ModelError(f"curve {self.id}: need two sheet sides and two relations")
         if any(r not in _RELATIONS for r in self.orientation_relation):
             raise ModelError(f"curve {self.id}: relations must be 'same' or 'opposite'")
         if self.self_intersections < 0:
             raise ModelError(f"curve {self.id}: negative self-intersection count")
+        return self
 
 
-class BranchedSurfaceModel(_Record):
-    __slots__ = ("sectors", "branch_curves", "horizontal_boundary", "compressing_disks")
+class BranchedSurfaceModel(
+    namedtuple(
+        "BranchedSurfaceModel", "sectors branch_curves horizontal_boundary compressing_disks"
+    )
+):
+    __slots__ = ()
 
-    def __init__(self, sectors, branch_curves, horizontal_boundary, compressing_disks):
-        self._set(
+    def __new__(cls, sectors, branch_curves, horizontal_boundary, compressing_disks):
+        model = super().__new__(
+            cls,
             tuple((str(i), int(c)) for i, c in sectors),
             tuple(branch_curves),
             tuple((str(i), int(g), int(n)) for i, g, n in horizontal_boundary),
             tuple((str(d), str(b)) for d, b in compressing_disks),
         )
-        _check(self)
+        _check(model)
+        return model
 
     def sector_ids(self):
         return [i for i, _ in self.sectors]

@@ -7,9 +7,10 @@ rational determinants) and locked in by the test suite.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 
-from .diagram import KnotlabError, validate, writhe, _occurrences, _Record, _valid
+from .diagram import MAX_CROSSINGS, KnotlabError, validate, writhe, _occurrences, _valid
 from .wiring import StrandGraph
 
 
@@ -17,27 +18,21 @@ class ConstructionError(KnotlabError):
     pass
 
 
-# Largest diagram a construction builds.  Integer parameters grow a diagram
-# through its twist regions and the companion's 2-parallel (4 crossings per
-# companion crossing), so both check the whole graph before allocating.
-MAX_CROSSINGS = 10_000
-
-
-class TwoBridgeFraction(_Record):
+class TwoBridgeFraction(namedtuple("TwoBridgeFraction", "p q")):
     """2-bridge fraction p/q in lowest terms, 0 < q < p (q = 0 only for p = 1).
 
     Two fractions present the same knot iff q' = q or q*q' = 1 (mod p);
     replacing q by p - q mirrors the knot.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p, q):
-        self._set(p, q)
-        if self.p < 1 or not 0 <= self.q < max(self.p, 2):
-            raise ConstructionError(f"fraction {self.p}/{self.q} out of range")
-        if self.p > 1 and gcd(self.p, self.q) != 1:
-            raise ConstructionError(f"fraction {self.p}/{self.q} not reduced")
+    def __new__(cls, p, q):
+        if p < 1 or not 0 <= q < max(p, 2):
+            raise ConstructionError(f"fraction {p}/{q} out of range")
+        if p > 1 and gcd(p, q) != 1:
+            raise ConstructionError(f"fraction {p}/{q} not reduced")
+        return super().__new__(cls, p, q)
 
     def same_knot(self, other, chirality=True):
         if self.p != other.p:
@@ -77,6 +72,9 @@ def cf_to_fraction(cf):
     return TwoBridgeFraction(num, den % num if num > 1 else 0)
 
 
+# Integer parameters grow a diagram through its twist regions and the
+# companion's 2-parallel (4 crossings per companion crossing), so both check
+# the whole graph against MAX_CROSSINGS before allocating.
 def _check_size(total):
     if total > MAX_CROSSINGS:
         raise ConstructionError(
@@ -178,6 +176,7 @@ def rational_knot(cf):
     top and bottom; an even-length chain ends on a vertical region, leaving
     the tangle fraction inverted, so it closes across the sides instead.
     """
+    _check_size(sum(abs(c) for c in cf))  # its exact crossing count, before the continuant
     frac = cf_to_fraction(cf)
     if frac.p % 2 == 0:
         raise ConstructionError(
@@ -301,7 +300,7 @@ def cable2(pd, f):
     return _validated_knot(g.to_diagram(), "cable")
 
 
-class DoubleSpec(_Record):
+class DoubleSpec(namedtuple("DoubleSpec", "companion twists clasp")):
     """Twisted Whitehead double parameters.
 
     ``twists`` is the absolute number of full twists in the pattern
@@ -311,12 +310,12 @@ class DoubleSpec(_Record):
     Alexander polynomial m - (2m+1)t + mt^2 with m = |twists|.
     """
 
-    __slots__ = ("companion", "twists", "clasp")
+    __slots__ = ()
 
-    def __init__(self, companion, twists, clasp):
-        self._set(companion, twists, clasp)
-        if self.clasp not in (1, -1):
-            raise ConstructionError(f"clasp must be +1 or -1, got {self.clasp}")
+    def __new__(cls, companion, twists, clasp):
+        if clasp not in (1, -1):
+            raise ConstructionError(f"clasp must be +1 or -1, got {clasp}")
+        return super().__new__(cls, companion, twists, clasp)
 
 
 def whitehead_double(spec):

@@ -37,45 +37,6 @@ class InconsistencyError(KnotlabError):
     """Two supposedly-equivalent internal computations disagreed."""
 
 
-class _Record:
-    """Immutable value record whose fields are its `__slots__`.
-
-    Records compare, hash and print by their field values in slot order, the
-    way frozen dataclasses do.  `__init__` stores the fields through `_set`,
-    after normalising them, and validates them afterwards.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), self._values())
-
-
 class Crossing(namedtuple("Crossing", "a b c d")):
     __slots__ = ()
 
@@ -83,17 +44,18 @@ class Crossing(namedtuple("Crossing", "a b c d")):
         return (self.a, self.b, self.c, self.d)
 
 
-class PlanarDiagram(_Record):
+class PlanarDiagram:
     """The crossings of a diagram, in input order.
 
-    Not a tuple, so a diagram is never mistaken for a (diagram, name) pair.
+    Immutable, and compared, hashed and printed by its crossings.  Not a
+    tuple, so a diagram is never mistaken for a (diagram, name) pair.
     """
 
     __slots__ = ("crossings",)
 
     def __init__(self, crossings):
         # the resolve cache hashes diagrams, so a list of crossings must not stay a list
-        self._set(tuple(crossings))
+        object.__setattr__(self, "crossings", tuple(crossings))
 
     # the resolve cache compares and hashes a diagram per lookup
     def __eq__(self, other):
@@ -107,10 +69,26 @@ class PlanarDiagram(_Record):
     def __len__(self):
         return len(self.crossings)
 
+    def __repr__(self):
+        return f"PlanarDiagram(crossings={self.crossings!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (PlanarDiagram, (self.crossings,))
+
 
 ValidationReport = namedtuple(
     "ValidationReport", "ok failures crossing_count component_count face_count"
 )
+
+
+# Largest diagram the toolkit accepts, from PD text, a table or a construction.
+MAX_CROSSINGS = 10_000
 
 
 def parse_pd(text):
@@ -130,6 +108,8 @@ def parse_pd(text):
             a, b, c, d = (int(p) for p in parts)
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer edge label in {raw!r}") from None
+        if len(crossings) == MAX_CROSSINGS:
+            raise ParseError(f"line {lineno}: more than {MAX_CROSSINGS} crossings")
         crossings.append(Crossing(a, b, c, d))
     if not crossings:
         raise ParseError("no crossings; the empty diagram is not representable")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import KnotlabError, _Record, parse_pd, serialize_pd, validate
+from .diagram import KnotlabError, parse_pd, serialize_pd, validate
 from .laurent import LaurentPoly
 from .invariants import InvariantTuple, invariant_tuple
 
@@ -23,14 +23,15 @@ class TableError(KnotlabError):
 KNOWN_FLAGS = frozenset({"alternating", "twist-knot", "persistently-laminar-paper-table"})
 
 
-class KnotRecord(_Record):
-    __slots__ = ("name", "pd", "invariants", "flags")
+class KnotRecord(namedtuple("KnotRecord", "name pd invariants flags")):
+    __slots__ = ()
 
-    def __init__(self, name, pd, invariants, flags):
-        self._set(name, pd, invariants, frozenset(flags))
-        unknown = self.flags - KNOWN_FLAGS
+    def __new__(cls, name, pd, invariants, flags):
+        flags = frozenset(flags)
+        unknown = flags - KNOWN_FLAGS
         if unknown:
-            raise TableError(f"record {self.name}: unknown flags {sorted(unknown)}")
+            raise TableError(f"record {name}: unknown flags {sorted(unknown)}")
+        return super().__new__(cls, name, pd, invariants, flags)
 
 
 IdentificationResult = namedtuple("IdentificationResult", "matches ambiguous")

@@ -29,8 +29,8 @@ odd ports carry the over-strand.  Conventions used by the rewirings:
   the opposite order.  That is one port rotation per strand: with x and y its
   ports at its two triangle crossings, x -> across(x) -> y -> across(y) -> x.
   The cycle is the same whichever end is x, so the strands' levels only pick
-  the sites.  Every wire is relabeled through the rotations, so external
-  wires joining two triangle nodes need no special casing.
+  the sites.  Each wire at a rotated port is relabeled through them, so
+  external wires joining two triangle nodes need no special casing.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ def _apply_r3(g, site):
         e = g.conn[h]
         h2, e2 = (h[0], (h[1] + 2) % 4), (e[0], (e[1] + 2) % 4)
         rho.update({h: h2, h2: e, e: e2, e2: h})
-    old = g.wires()
-    for u, _ in old:
-        if u in g.conn:
-            g.disconnect(u)
-    for u, v in old:
+    # only the wires at the 12 rotated ports move, each keyed once by its smaller port
+    moved = dict(sorted((u, g.conn[u])) for u in rho)
+    for u in moved:
+        g.disconnect(u)
+    for u, v in moved.items():
         g.connect(rho.get(u, u), rho.get(v, v))
 
 

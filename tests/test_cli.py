@@ -10,6 +10,8 @@ import pytest
 
 from knotlab.branched import build_bf, parse_model
 from knotlab.cli import main
+from knotlab.constructions import rational_knot
+from knotlab.diagram import serialize_pd
 from knotlab.knotdb import bundled_table, serialize_table
 
 TREFOIL_PD = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n"
@@ -263,10 +265,20 @@ def test_construction_size_cap_exits_1(capsys, trefoil_file):
         ["construct", "cable2", "--f", "10007", trefoil_file],
         ["construct", "double", "--twists", "5004", trefoil_file],
         ["construct", "family", "--n", "5000"],
+        # a continuant of 6,270 digits, too many to print, is never evaluated
+        ["construct", "rational", "--cf", ",".join(["1"] * 30002)],
     ):
         rc, out = run(capsys, argv)
         assert rc == 1, argv
         assert out.endswith("exceeds the limit of 10000\nstatus error\n"), argv
+
+
+def test_pd_text_size_cap_exits_1(capsys, monkeypatch):
+    text = serialize_pd(rational_knot([2, 9998])) + "X 1,2,3,4\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc, out = run(capsys, ["invariants"])
+    assert rc == 1
+    assert out.endswith("error line 10001: more than 10000 crossings\nstatus error\n")
 
 
 def test_usage_errors_exit_2(capsys):

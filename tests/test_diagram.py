@@ -2,7 +2,9 @@
 
 import pytest
 
+from knotlab import constructions
 from knotlab.diagram import (
+    MAX_CROSSINGS,
     ParseError,
     PlanarDiagram,
     checkerboard,
@@ -51,6 +53,14 @@ def test_parse_errors():
     for bad in ("X 1,2,3", "Y 1,2,3,4", "X a,2,3,4", ""):
         with pytest.raises(ParseError):
             parse_pd(bad)
+
+
+def test_parse_refuses_more_than_max_crossings():
+    assert constructions.MAX_CROSSINGS is MAX_CROSSINGS  # one limit for text and constructions
+    text = serialize_pd(constructions.rational_knot([2, MAX_CROSSINGS - 2]))
+    assert len(parse_pd(text)) == MAX_CROSSINGS
+    with pytest.raises(ParseError, match=f"^line {MAX_CROSSINGS + 1}: more than 10000 crossings$"):
+        parse_pd(text + "X 1,2,3,4\n")
 
 
 def test_validate_trefoil():

@@ -135,6 +135,25 @@ def test_r3_preserves_count_and_tuple():
     assert invariant_tuple(out).key() == TREFOIL_KEY
 
 
+def test_r3_rewires_only_its_triangle(monkeypatch):
+    g = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=8, seed=1))
+    for _ in range(100):
+        apply_move(g, "r1+", 2 * len(g.conn) - 1)  # a kink on the last wire
+    assert len(g.conn) // 2 == 208 and move_candidates(g, "r3")
+    calls = []
+    disconnect = StrandGraph.disconnect
+
+    def counted_disconnect(self, u):
+        calls.append(u)
+        return disconnect(self, u)
+
+    monkeypatch.setattr(StrandGraph, "disconnect", counted_disconnect)
+    apply_move(g, "r3", 0)
+    # 3 triangle sides and at most 6 wires leaving the triangle
+    assert len(calls) <= 9
+    assert invariant_tuple(g.to_diagram()).key() == TREFOIL_KEY
+
+
 def test_apply_move_bad_index():
     g = StrandGraph.from_diagram(TREFOIL)
     with pytest.raises(MoveError):

@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from knotlab import diagram
 from knotlab.branched import BranchCurve, BranchedSurfaceModel, CertificateReport, ModelError
 from knotlab.constructions import ConstructionError, DoubleSpec, TwoBridgeFraction
 from knotlab.diagram import Crossing, PlanarDiagram, ValidationReport, parse_pd
@@ -102,6 +103,11 @@ def test_dataclass_era_reprs():
         "PlanarDiagram(crossings=(Crossing(a=1, b=4, c=2, d=5), "
         "Crossing(a=3, b=6, c=4, d=1), Crossing(a=5, b=2, c=6, d=3)))"
     )
+
+
+def test_every_record_but_the_diagram_is_a_named_tuple():
+    assert [cls for cls in RECORDS if not issubclass(cls, tuple)] == [PlanarDiagram]
+    assert not hasattr(diagram, "_Record")
 
 
 def test_diagram_is_not_a_tuple():
