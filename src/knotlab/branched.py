@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diagram import KnotlabError, _ParityUnionFind
+from .diagram import KnotlabError, _ParityUnionFind, _validated_make
 
 
 class ModelError(KnotlabError):
@@ -27,6 +27,7 @@ class BranchCurve(
     """One branch curve: two sheets merging into one side of the locus."""
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, id, merged_side, sheet_sides, self_intersections, orientation_relation):
         self = super().__new__(cls, id, merged_side, tuple(sheet_sides), self_intersections,
@@ -46,6 +47,7 @@ class BranchedSurfaceModel(
     )
 ):
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, sectors, branch_curves, horizontal_boundary, compressing_disks):
         model = super().__new__(

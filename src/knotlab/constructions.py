@@ -1,4 +1,14 @@
-"""Diagram generators: torus knots, rational knots, cables, doubles.
+"""Diagram generators: torus knots, rational knots, pretzels, cables, doubles.
+
+Every construction is a Conway tangle expression on a StrandGraph.  A tangle
+is the tuple (nw, ne, sw, se) of its four free ports, by compass corner; a
+one-crossing tangle is one node.  The horizontal sum ``_join`` wires the left
+tangle's ne, se to the right one's nw, sw; the vertical sum ``_stack`` wires
+the upper tangle's sw, se to the lower one's nw, ne.  A twist region is a
+chain of one-crossing tangles under one sum.  ``_close`` is the one closure:
+the numerator wires nw-ne and sw-se, the denominator nw-sw and ne-se.  A
+satellite's cut 2-parallel is the outside of a tangle, read as a tangle to
+its right, so the pattern fills the cut as the numerator of their sum.
 
 Twist-region handedness and closure conventions are frozen constants,
 calibrated once against invariant anchors (positive trefoil signature -2,
@@ -10,7 +20,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .diagram import MAX_CROSSINGS, KnotlabError, validate, writhe, _occurrences, _valid
+from .diagram import MAX_CROSSINGS, KnotlabError, validate, writhe
+from .diagram import _occurrences, _valid, _validated_make
 from .wiring import StrandGraph
 
 
@@ -26,6 +37,7 @@ class TwoBridgeFraction(namedtuple("TwoBridgeFraction", "p q")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, p, q):
         if p < 1 or not 0 <= q < max(p, 2):
@@ -82,76 +94,46 @@ def _check_size(total):
         )
 
 
-def _twist_nodes(g, count, positive):
-    """`count` new nodes and their compass ports (sw, se, ne, nw).
+def _join(g, a, b):
+    """Horizontal sum: a's east ports wire to b's west ports."""
+    g.connect(a[1], b[0])
+    g.connect(a[3], b[2])
+    return a[0], b[1], a[2], b[3]
+
+
+def _stack(g, a, b):
+    """Vertical sum: a's south ports wire to b's north ports."""
+    g.connect(a[2], b[0])
+    g.connect(a[3], b[1])
+    return a[0], a[1], b[2], b[3]
+
+
+def _chain(g, count, positive, add):
+    """Twist region: `count` one-crossing tangles summed by `add`.
 
     Ports run counterclockwise with the over-strand on ports 1 and 3, so a
     positive crossing, whose over-strand runs SW-NE, is numbered from SE.
     """
     _check_size(len(g.nodes) + count)
-    return [g.add_node() for _ in range(count)], (3, 0, 1, 2) if positive else (0, 1, 2, 3)
-
-
-def _h_chain(g, count, positive):
-    """Horizontal twist region: `count` crossings between two west-east strands.
-
-    Each node's east ports wire to the west ports of the next.
-    """
-    ids, (sw, se, ne, nw) = _twist_nodes(g, count, positive)
-    for a, b in zip(ids, ids[1:]):
-        g.connect((a, ne), (b, nw))
-        g.connect((a, se), (b, sw))
-    first, last = ids[0], ids[-1]
-    return (first, nw), (last, ne), (first, sw), (last, se)
-
-
-def _v_chain(g, count, positive):
-    """Vertical twist region: strands enter at the north, exit at the south.
-
-    Each node's south ports wire to the north ports of the next.
-    """
-    ids, (sw, se, ne, nw) = _twist_nodes(g, count, positive)
-    for a, b in zip(ids, ids[1:]):
-        g.connect((a, sw), (b, nw))
-        g.connect((a, se), (b, ne))
-    first, last = ids[0], ids[-1]
-    return (first, nw), (first, ne), (last, sw), (last, se)
+    sw, se, ne, nw = (3, 0, 1, 2) if positive else (0, 1, 2, 3)
+    t = None
+    for _ in range(count):
+        n = g.add_node()
+        one = (n, nw), (n, ne), (n, sw), (n, se)
+        t = add(g, t, one) if t else one
+    return t
 
 
 # Handedness conventions for twist regions, anchored by rational_knot([3])
 # being the positive trefoil and the determinant family
 # rational_knot([2,2m]) -> 4m+1: a positive entry builds a positive chain.
-def _twist_bottom(g, t, entry):
-    """Add a vertical twist region below the tangle t = (nw, ne, sw, se)."""
-    if entry == 0:
-        return t
-    nw, ne, sw, se = _v_chain(g, abs(entry), entry > 0)
-    g.connect(t[2], nw)
-    g.connect(t[3], ne)
-    return t[0], t[1], sw, se
-
-
-def _twist_right(g, t, entry):
-    """Add a horizontal twist region right of the tangle t = (nw, ne, sw, se)."""
-    if entry == 0:
-        return t
-    nw, ne, sw, se = _h_chain(g, abs(entry), entry > 0)
-    g.connect(t[1], nw)
-    g.connect(t[3], sw)
-    return t[0], ne, t[2], se
-
-
-def _build_rational_tangle(g, cf):
-    t = _h_chain(g, abs(cf[0]), cf[0] > 0)
-    for i, entry in enumerate(cf[1:]):
-        if i % 2 == 0:
-            t = _twist_bottom(g, t, entry)
-        else:
-            t = _twist_right(g, t, entry)
-    return t
+def _twist(g, t, entry, add):
+    """Sum a region of |entry| crossings onto t, built with the same sum."""
+    return add(g, t, _chain(g, abs(entry), entry > 0, add)) if entry else t
 
 
 def _close(g, t, numerator):
+    """Wire nw-ne and sw-se (numerator) or nw-sw and ne-se, then trace."""
     nw, ne, sw, se = t
     if numerator:
         g.connect(nw, ne)
@@ -183,8 +165,10 @@ def rational_knot(cf):
             f"fraction {frac.p}/{frac.q} has even p: 2-component link, not a knot"
         )
     g = StrandGraph()
-    pd = _close(g, _build_rational_tangle(g, list(cf)), len(cf) % 2 == 1)
-    return _validated_knot(pd, "rational diagram")
+    t = _chain(g, abs(cf[0]), cf[0] > 0, _join)
+    for i, entry in enumerate(cf[1:]):
+        t = _twist(g, t, entry, _join if i % 2 else _stack)
+    return _validated_knot(_close(g, t, len(cf) % 2 == 1), "rational diagram")
 
 
 def twist_knot(c):
@@ -199,10 +183,7 @@ def torus_2n(n):
     if n % 2 == 0:
         raise ConstructionError(f"(2,{n}) closed braid is a 2-component link")
     g = StrandGraph()
-    nw, ne, sw, se = _h_chain(g, abs(n), n > 0)
-    g.connect(ne, nw)
-    g.connect(se, sw)
-    return g.to_diagram()
+    return _close(g, _chain(g, abs(n), n > 0, _join), True)
 
 
 def pretzel(p, q, r):
@@ -210,20 +191,12 @@ def pretzel(p, q, r):
     if 0 in (p, q, r):
         raise ConstructionError("zero pretzel column")
     g = StrandGraph()
-    cols = []
-    for entry in (p, q, r):
-        nw, ne, sw, se = _v_chain(g, abs(entry), entry > 0)
-        cols.append((nw, ne, sw, se))
-    for (l_nw, l_ne, l_sw, l_se), (r_nw, r_ne, r_sw, r_se) in zip(cols, cols[1:]):
-        g.connect(l_ne, r_nw)
-        g.connect(l_se, r_sw)
-    g.connect(cols[-1][1], cols[0][0])
-    g.connect(cols[-1][3], cols[0][2])
-    return g.to_diagram()
+    a, b, c = (_chain(g, abs(entry), entry > 0, _stack) for entry in (p, q, r))
+    return _close(g, _join(g, _join(g, a, b), c), True)
 
 
 # ---------------------------------------------------------------------------
-# Satellite engine: 2-parallel of a companion diagram plus a spliced-in tangle
+# Satellite engine: 2-parallel of a companion diagram, cut open for a tangle
 
 
 _TILE_PORT = {
@@ -245,8 +218,10 @@ def _doubled_with_gap(pd):
     (vertical lanes copy the under-strand, horizontal lanes the over-strand).
     Each companion edge becomes two parallel wires; the sub-lane index flips
     across every wire to keep the parallel copies untangled.  The two wires
-    of edge 1 are left unwired: four stubs (a1, b1) on one side and (a2, b2)
-    on the other, ready to receive a tangle.
+    of edge 1 are left unwired, and the rest is returned as a tangle read to
+    the right of the cut: its west ports are the stubs at one end of edge 1,
+    its east ports those at the other, so ``_close(g, _join(g, t, out), True)``
+    fills the cut with the tangle t.
     """
     _check_size(4 * len(pd))
     g = StrandGraph()
@@ -264,28 +239,11 @@ def _doubled_with_gap(pd):
         return (tiles[ci][name], port)
 
     occ = _occurrences(pd)
-    for lab in sorted(occ):
-        (c1, s1), (c2, s2) = occ[lab]
-        if lab == 1:
-            continue
-        g.connect(tport(c1, s1, 0), tport(c2, s2, 1))
-        g.connect(tport(c1, s1, 1), tport(c2, s2, 0))
-    (c1, s1), (c2, s2) = occ[1]
-    nw, sw = tport(c1, s1, 1), tport(c1, s1, 0)
-    ne, se = tport(c2, s2, 0), tport(c2, s2, 1)
-    return g, (nw, sw, ne, se)
-
-
-def _splice_tangle(g, stubs, t):
-    """Wire a tangle's corners (nw, ne, sw, se) into the cut, each to the
-    stub at the same compass corner."""
-    nw, sw, ne, se = stubs
-    if t is None:
-        g.connect(nw, ne)
-        g.connect(sw, se)
-        return
-    for corner, stub in zip(t, (nw, ne, sw, se)):
-        g.connect(corner, stub)
+    (c1, s1), (c2, s2) = occ.pop(1)
+    for (a, sa), (b, sb) in occ.values():
+        g.connect(tport(a, sa, 0), tport(b, sb, 1))
+        g.connect(tport(a, sa, 1), tport(b, sb, 0))
+    return g, (tport(c2, s2, 0), tport(c1, s1, 1), tport(c2, s2, 1), tport(c1, s1, 0))
 
 
 def cable2(pd, f):
@@ -293,11 +251,10 @@ def cable2(pd, f):
     _valid(pd)
     if f % 2 == 0:
         raise ConstructionError(f"(2,{f}) cable is a 2-component link; f must be odd")
-    j = f - 2 * writhe(pd)
-    g, stubs = _doubled_with_gap(pd)
-    t = _h_chain(g, abs(j), j > 0) if j else None
-    _splice_tangle(g, stubs, t)
-    return _validated_knot(g.to_diagram(), "cable")
+    j = f - 2 * writhe(pd)  # odd, so the cut always gets a twist region
+    g, out = _doubled_with_gap(pd)
+    t = _chain(g, abs(j), j > 0, _join)
+    return _validated_knot(_close(g, _join(g, t, out), True), "cable")
 
 
 class DoubleSpec(namedtuple("DoubleSpec", "companion twists clasp")):
@@ -311,6 +268,7 @@ class DoubleSpec(namedtuple("DoubleSpec", "companion twists clasp")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, companion, twists, clasp):
         if clasp not in (1, -1):
@@ -322,10 +280,9 @@ def whitehead_double(spec):
     """Twisted Whitehead double: 2-parallel closed by a clasp-and-twists tangle."""
     _valid(spec.companion)
     inserted = 2 * spec.twists - 2 * writhe(spec.companion)
-    g, stubs = _doubled_with_gap(spec.companion)
-    t = _twist_right(g, _v_chain(g, 2, spec.clasp > 0), inserted)
-    _splice_tangle(g, stubs, t)
-    return _validated_knot(g.to_diagram(), "double")
+    g, out = _doubled_with_gap(spec.companion)
+    t = _twist(g, _chain(g, 2, spec.clasp > 0, _stack), inserted, _join)
+    return _validated_knot(_close(g, _join(g, t, out), True), "double")
 
 
 def paper_family(n):

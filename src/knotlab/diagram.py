@@ -37,6 +37,11 @@ class InconsistencyError(KnotlabError):
     """Two supposedly-equivalent internal computations disagreed."""
 
 
+# The _make of a record that validates in __new__: through it, _replace
+# normalises and validates too, so a record stays valid for its lifetime.
+_validated_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class Crossing(namedtuple("Crossing", "a b c d")):
     __slots__ = ()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from importlib import resources
 
-from .diagram import KnotlabError, parse_pd, serialize_pd, validate
+from .diagram import KnotlabError, ParseError, parse_pd, serialize_pd, validate, _validated_make
 from .laurent import LaurentPoly
 from .invariants import InvariantTuple, invariant_tuple
 
@@ -25,6 +25,7 @@ KNOWN_FLAGS = frozenset({"alternating", "twist-knot", "persistently-laminar-pape
 
 class KnotRecord(namedtuple("KnotRecord", "name pd invariants flags")):
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, name, pd, invariants, flags):
         flags = frozenset(flags)
@@ -94,7 +95,10 @@ def _parse_block(block):
         raise TableError(f"record {name}: bad integer field") from e
     alex = LaurentPoly(coeffs, 0)
     stored = InvariantTuple(alex, det, sig, alex.span // 2)
-    pd = parse_pd("\n".join(pd_lines))
+    try:
+        pd = parse_pd("\n".join(pd_lines))
+    except ParseError as e:
+        raise TableError(f"record {name}: pd {e}") from e
     return KnotRecord(name, pd, stored, flags)
 
 

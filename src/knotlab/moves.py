@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import random
 
-from .diagram import KnotlabError, _valid, validate
+from .diagram import MAX_CROSSINGS, KnotlabError, _valid, validate
 from .wiring import StrandGraph, WiringError
 
 MOVE_KINDS = ("r1+", "r1-", "r2+", "r2-", "r3")
+_ADDED = {"r1+": 1, "r2+": 2}  # crossings a move of the kind adds
 
 
 class MoveError(KnotlabError):
@@ -234,6 +235,8 @@ def apply_move(g, kind, index=0):
     """Apply the index-th candidate of the given kind in place."""
     if not _is_non_negative_int(index):
         raise MoveError(f"move site index must be a non-negative integer, not {index!r}")
+    if kind in _ADDED and len(g.nodes) + _ADDED[kind] > MAX_CROSSINGS:
+        raise MoveError(f"{kind} would pass the limit of {MAX_CROSSINGS} crossings")
     n, pick = _counted_sites(g, kind)
     if index >= n:
         raise MoveError(f"no {kind} move at site index {index}")
@@ -289,14 +292,15 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     explicit sequence of ``(kind, site_index)`` pairs; anything else raises
     MoveError.  Each random move picks a kind uniformly among the kinds that
     have sites (r1+ and r2+ only while the diagram stays within
-    max(2n, n + 8) crossings for an n-crossing input), then a site uniformly
-    in the kind's ``move_candidates`` order.  The faces are traced once per
-    graph state, and r1+ and r2+ sites are counted and only the drawn one is
-    built; it is the site ``move_candidates`` lists at the drawn index.
+    min(max(2n, n + 8), MAX_CROSSINGS) crossings for an n-crossing input),
+    then a site uniformly in the kind's ``move_candidates`` order.  The faces
+    are traced once per graph state, and r1+ and r2+ sites are counted and
+    only the drawn one is built; it is the site ``move_candidates`` lists at
+    the drawn index.
 
-    Raises MoveError when an explicit move is inapplicable, and
-    ValidationError on an invalid input diagram (tracing the graph renumbers
-    every edge, which would hide it).
+    Raises MoveError when an explicit move is inapplicable or would pass
+    MAX_CROSSINGS, and ValidationError on an invalid input diagram (tracing
+    the graph renumbers every edge, which would hide it).
     """
     if not _is_non_negative_int(moves):
         moves = _move_pairs(moves)
@@ -304,7 +308,7 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     g = StrandGraph.from_diagram(pd)
     if isinstance(moves, int):
         rng = random.Random(seed)
-        cap = max(2 * len(pd), len(pd) + 8)
+        cap = min(max(2 * len(pd), len(pd) + 8), MAX_CROSSINGS)
         for _ in range(moves):
             _random_step(g, rng, cap)
     else:

@@ -245,3 +245,11 @@ def test_construction_outputs_are_pinned():
     for pd in ladder:
         h.update(serialize_pd(pd).encode())
     assert h.hexdigest() == "d816afe452a2456c83a9be7e11520a3d32852d0647c88fad0ba21223d3c73f87"
+
+
+def test_pretzel_link_outputs_are_pinned():
+    # the digest above holds knots only; a link's labels follow its components
+    h = hashlib.sha256()
+    for p in ((2, 2, 2), (2, 2, 3), (-2, 4, 6), (2, -3, -4)):
+        h.update(serialize_pd(pretzel(*p)).encode())
+    assert h.hexdigest() == "ade097a7c8d06426b0dbc6ba94712043b3fce4058a0afae45306255400f2ad3e"

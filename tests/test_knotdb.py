@@ -133,6 +133,14 @@ def test_load_rejects_missing_fields_and_bad_flags():
         parse_table(good.replace("name 3_1", "name"))
     with pytest.raises(TableError, match="unknown 'colour' line"):
         parse_table(good.replace("det 3\n", "det 3\ncolour red\n"))
+    # a bad pd line names its record and counts lines from the pd block
+    lines = serialize_table(bundled_table()[:3]).splitlines()
+    second = lines.index("pd:", lines.index("pd:") + 1) + 1
+    lines[second] = "X 1,2,3"
+    with pytest.raises(TableError, match=r"^record 4_1: pd line 1: need exactly 4 edge labels"):
+        parse_table("\n".join(lines))
+    with pytest.raises(TableError, match="^record 3_1: pd line 10001: more than 10000 crossings"):
+        parse_table(good.replace("pd:\n", "pd:\n" + "X 1,1,2,2\n" * 10_001))
 
 
 def test_record_flag_validation():

@@ -5,7 +5,9 @@ import hashlib
 
 import pytest
 
+from knotlab.constructions import torus_2n
 from knotlab.diagram import (
+    MAX_CROSSINGS,
     ValidationError,
     component_count,
     parse_pd,
@@ -232,6 +234,22 @@ def test_perturbation_outputs_are_pinned():
             for moves in (6, 12):
                 h.update(serialize_pd(reidemeister_perturb(rec.pd, moves=moves, seed=seed)).encode())
     assert h.hexdigest() == "3aed8255de230a7fdecd1691411a41be5a4fc5d644ee568a6acfa2e3ddcce9b2"
+
+
+def test_perturbation_stays_within_the_crossing_limit():
+    # growth stops at MAX_CROSSINGS, so a perturbed diagram parses back
+    pd = torus_2n(MAX_CROSSINGS - 3)
+    out = reidemeister_perturb(pd, moves=6, seed=1)
+    size = len(out)  # 10,001 without the limit
+    assert size <= MAX_CROSSINGS
+    assert parse_pd(serialize_pd(out)) == out
+    g = StrandGraph.from_diagram(torus_2n(MAX_CROSSINGS - 1))
+    with pytest.raises(MoveError, match="limit of 10000"):
+        apply_move(g, "r2+", 0)
+    apply_move(g, "r1+", 0)
+    assert len(g.nodes) == MAX_CROSSINGS
+    with pytest.raises(MoveError, match="limit of 10000"):
+        apply_move(g, "r1+", 0)
 
 
 def test_counted_sites_match_the_candidate_lists():

@@ -136,6 +136,37 @@ def test_records_normalise_and_validate_their_fields():
         KnotRecord("3_1", TREFOIL, TUPLE, {"chiral"})
 
 
+# a validating record, a field change that breaks it, and its error
+BAD_REPLACEMENTS = [
+    (TwoBridgeFraction, {"p": 4}, ConstructionError, "fraction 4/2 not reduced"),
+    (DoubleSpec, {"clasp": 0}, ConstructionError, "clasp must be"),
+    (BranchCurve, {"orientation_relation": ("same", "flipped")}, ModelError, "relations"),
+    (BranchedSurfaceModel, {"sectors": (("S0", 5),)}, ModelError, "chi 5 > 2"),
+    (BranchedSurfaceModel, {"sectors": (("S0", -3), ("S0", -3))}, ModelError, "duplicate sector"),
+    (KnotRecord, {"flags": ["bogus"]}, TableError, "unknown flags"),
+]
+
+
+@pytest.mark.parametrize("cls, change, error, message", BAD_REPLACEMENTS,
+                         ids=[f"{c.__name__}-{m}" for c, _, _, m in BAD_REPLACEMENTS])
+def test_replace_and_make_validate(cls, change, error, message):
+    record, _ = _make(cls)
+    with pytest.raises(error, match=message):
+        record._replace(**change)
+    with pytest.raises(error, match=message):
+        cls._make((record._asdict() | change).values())
+
+
+def test_replace_normalises():
+    record = KnotRecord("3_1", TREFOIL, TUPLE, frozenset())._replace(flags=["alternating"])
+    assert record.flags == frozenset({"alternating"}) and type(record) is KnotRecord
+    curve = CURVE._replace(sheet_sides=["S0", "S0"], orientation_relation=["same", "opposite"])
+    assert curve.sheet_sides == ("S0", "S0") and curve.orientation_relation == ("same", "opposite")
+    model, _ = _make(BranchedSurfaceModel)
+    assert model._replace(sectors=[["S0", "-3"]]) == model
+    assert TwoBridgeFraction(5, 2)._replace(q=3) == TwoBridgeFraction(5, 3)
+
+
 def test_methods_survive():
     assert TUPLE.key() == (ALEX, 3, -2, 1)
     assert IncompressibilityCertificate("none", 1, 0).certified is False
