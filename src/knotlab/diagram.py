@@ -139,8 +139,7 @@ def _orbits(step, starts):
     """Cycles of the map `step`, each entered at its first element in `starts`.
 
     An orbit ends before the first element already traced, so on a
-    permutation every orbit closes on its start; a caller that cannot assume
-    one checks step[orbit[-1]] == orbit[0].
+    permutation every orbit closes on its start.
     """
     seen = set()
     out = []
@@ -207,6 +206,7 @@ class _Resolved:
         "occ",
         "head",
         "components",
+        "over",
         "signs",
         "faces",
         "face_of_corner",
@@ -256,23 +256,28 @@ def _resolve(pd):
             r.ok = False
             r.failures = (f"inconsistent strand orientation at crossing {ci}",)
             return r
+    # One reference per parity class: the class joined to node n keeps its
+    # parity; any other class is one strand lying entirely over, oriented so
+    # that labels increase at its first crossing, and its other crossings
+    # follow by parity.
     root, parity = orient.find(n)
-    choice = []
+    ref = {root: parity}
+    over = []  # per crossing, the (incoming, outgoing) over slots
     for ci, x in enumerate(pd.crossings):
         rc, pc = orient.find(ci)
-        if rc == root:
-            choice.append(pc == parity)
-        else:
-            # a component lying entirely over: labels increase along the strand
-            choice.append(x.d == x.b + 1 if abs(x.b - x.d) == 1 else x.b > x.d)
+        if rc not in ref:
+            up = x.d == x.b + 1 if abs(x.b - x.d) == 1 else x.b > x.d
+            ref[rc] = pc ^ (not up)
+        over.append((1, 3) if pc == ref[rc] else (3, 1))
 
-    # In and out ends: slots 0 and 2, then 1 and 3 when the choice holds, else 3 and 1.
+    # In and out ends: slots 0 and 2, then the over slots.  Once every edge
+    # has one head and one tail, the successor map is a permutation.
     head = {}
     tail = {}
     succ = {}  # successor along the strand: the edge leaving the crossing this edge enters
     for ci, x in enumerate(pd.crossings):
-        over = ((x.b, 1), (x.d, 3)) if choice[ci] else ((x.d, 3), (x.b, 1))
-        for (e_in, s_in), (e_out, s_out) in (((x.a, 0), (x.c, 2)), over):
+        for s_in, s_out in ((0, 2), over[ci]):
+            e_in, e_out = x[s_in], x[s_out]
             if e_in in head:
                 failures.append(f"edge {e_in} has two head ends")
             if e_out in tail:
@@ -285,13 +290,12 @@ def _resolve(pd):
         r.failures = tuple(failures)
         return r
     r.head = head
-    r.signs = [1 if ch else -1 for ch in choice]
+    r.over = over
+    r.signs = [1 if o == (1, 3) else -1 for o in over]
 
     # strand components; each must be a cyclic run lo, lo+1, ..., hi
     components = _orbits(succ, range(1, ne + 1))
     for cyc in components:
-        if succ[cyc[-1]] != cyc[0]:
-            failures.append("edge successor structure is not a permutation")
         lo = min(cyc)
         k = cyc.index(lo)
         if cyc[k:] + cyc[:k] != tuple(range(lo, lo + len(cyc))):
@@ -373,18 +377,12 @@ def writhe(pd):
 def mirror(pd):
     """Swap over- and under-strands at every crossing.
 
-    The slot cycle is re-rooted at the new incoming under-strand, so the
-    rotation system (and hence the faces) is unchanged while every crossing
-    sign flips.
+    The slot cycle is rotated to start at the incoming over-strand, the new
+    incoming under-strand, so the rotation system (and hence the faces) is
+    unchanged while every crossing sign flips.
     """
-    rr = _valid(pd)
-    out = []
-    for ci, x in enumerate(pd.crossings):
-        if rr.signs[ci] > 0:
-            out.append(Crossing(x.b, x.c, x.d, x.a))
-        else:
-            out.append(Crossing(x.d, x.a, x.b, x.c))
-    return PlanarDiagram(tuple(out))
+    over = _valid(pd).over
+    return PlanarDiagram(tuple(Crossing(*x[i:], *x[:i]) for x, (i, _) in zip(pd.crossings, over)))
 
 
 def faces(pd):

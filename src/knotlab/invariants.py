@@ -77,13 +77,12 @@ def alexander_matrix(pd):
         row = [LaurentPoly.const(0)] * arcs
         u = arc_of[x.a]
         v = arc_of[x.c]
+        o = arc_of[x[rr.over[ci][0]]]
         if rr.signs[ci] > 0:
-            o = arc_of[x.b]
             row[o] = row[o] + _ONE_MINUS_T
             row[u] = row[u] + T
             row[v] = row[v] + _MINUS_ONE
         else:
-            o = arc_of[x.d]
             row[o] = row[o] + _T_MINUS_ONE
             row[u] = row[u] + ONE
             row[v] = row[v] + _MT

@@ -309,13 +309,9 @@ def det_laurent(rows):
     live = []  # row index -> {column: nonzero entry}, None once pivoted
     cols = [set() for _ in range(n)]  # column -> live rows with an entry there
     for i, r in enumerate(rows):
-        row = {}
-        for j, e in enumerate(r):
-            if not isinstance(e, LaurentPoly):
-                e = LaurentPoly.const(e)
-            if e.coeffs:
-                row[j] = e
-                cols[j].add(i)
+        row = {j: e for j, e in enumerate(r) if e.coeffs}
+        for j in row:
+            cols[j].add(i)
         if not row:
             return LaurentPoly()
         live.append(row)

@@ -161,8 +161,6 @@ def _candidates_r2_remove(g):
         n1, n2 = h1[0], h2[0]
         if n1 == n2:
             continue
-        if g.conn[h1] == h2:
-            continue  # single wire doubling back
         if h1[1] % 2 != g.conn[h1][1] % 2:
             continue  # strand changes level across the bigon
         if not _spliceable(g, {n1, n2}):
@@ -263,7 +261,7 @@ def _random_step(g, rng, cap):
     options = []
     size = len(g.nodes)
     for kind in MOVE_KINDS:
-        if kind.endswith("+") and size + 2 > cap:
+        if kind in _ADDED and (size + 2 > cap or size + _ADDED[kind] > MAX_CROSSINGS):
             continue
         n, pick = _counted_sites(g, kind)
         if n:
@@ -291,12 +289,12 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     ``moves`` is either a count of random moves (driven by ``seed``) or an
     explicit sequence of ``(kind, site_index)`` pairs; anything else raises
     MoveError.  Each random move picks a kind uniformly among the kinds that
-    have sites (r1+ and r2+ only while the diagram stays within
-    min(max(2n, n + 8), MAX_CROSSINGS) crossings for an n-crossing input),
-    then a site uniformly in the kind's ``move_candidates`` order.  The faces
-    are traced once per graph state, and r1+ and r2+ sites are counted and
-    only the drawn one is built; it is the site ``move_candidates`` lists at
-    the drawn index.
+    have sites, then a site uniformly in the kind's ``move_candidates``
+    order.  For an n-crossing input, r1+ and r2+ are both drawn only while
+    the diagram has at most max(2n, n + 8) - 2 crossings, and each only while
+    its result stays within MAX_CROSSINGS.  The faces are traced once per
+    graph state, and r1+ and r2+ sites are counted and only the drawn one is
+    built; it is the site ``move_candidates`` lists at the drawn index.
 
     Raises MoveError when an explicit move is inapplicable or would pass
     MAX_CROSSINGS, and ValidationError on an invalid input diagram (tracing
@@ -308,7 +306,7 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     g = StrandGraph.from_diagram(pd)
     if isinstance(moves, int):
         rng = random.Random(seed)
-        cap = min(max(2 * len(pd), len(pd) + 8), MAX_CROSSINGS)
+        cap = max(2 * len(pd), len(pd) + 8)
         for _ in range(moves):
             _random_step(g, rng, cap)
     else:

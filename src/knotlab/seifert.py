@@ -35,21 +35,17 @@ class IncompressibilityCertificate(
 
 def seifert_circles(pd):
     rr = _require_knot(pd)
+    # the incoming under-strand turns onto the outgoing over-strand, and the
+    # incoming over-strand onto the outgoing under-strand
     succ = {}
-    for ci, x in enumerate(pd.crossings):
-        if rr.signs[ci] > 0:
-            succ[x.a] = x.d
-            succ[x.b] = x.c
-        else:
-            succ[x.a] = x.b
-            succ[x.d] = x.c
+    for x, (i, o) in zip(pd.crossings, rr.over):
+        succ[x.a] = x[o]
+        succ[x[i]] = x.c
     circles = _orbits(succ, sorted(succ))
     membership = {e: i for i, circle in enumerate(circles) for e in circle}
     count = len(circles)
-    edges = []
-    for ci, x in enumerate(pd.crossings):
-        over_in = x.b if rr.signs[ci] > 0 else x.d
-        edges.append((membership[x.a], membership[over_in]))
+    # one Seifert-graph edge per crossing, between its two incoming strands' circles
+    edges = [(membership[x.a], membership[x[i]]) for x, (i, _) in zip(pd.crossings, rr.over)]
     twice_genus = len(pd) - count + 1
     if twice_genus % 2:
         raise InconsistencyError("C - s + 1 is odd on a knot diagram")

@@ -1,5 +1,8 @@
 """PD parsing, validation, orientation, faces, checkerboard structure."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from knotlab import constructions
@@ -19,7 +22,10 @@ from knotlab.diagram import (
     validate,
     writhe,
 )
-from knotlab.invariants import invariant_tuple
+from knotlab.invariants import alexander_matrix, invariant_tuple
+from knotlab.knotdb import bundled_table
+from knotlab.moves import reidemeister_perturb
+from knotlab.seifert import seifert_circles
 
 TREFOIL = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3"
 KINK = "X 1,2,2,1"
@@ -84,13 +90,104 @@ def test_validate_rejects_nonplanar_rotation():
     assert any("planar" in f for f in report.failures)
 
 
+def test_validate_accepts_a_circle_lying_over_at_both_crossings():
+    # the 2-component unlink: labels 3 and 4 sit in the same slots at both
+    # crossings, so the over-strand enters by slot 1 at one and slot 3 at the other
+    pd = parse_pd("X 1,3,2,4\nX 2,3,1,4")
+    report = validate(pd)
+    assert report.ok, report.failures
+    assert (report.component_count, report.face_count) == (2, 4)
+    assert crossing_signs(pd) == [1, -1]
+
+
 def test_validate_rejects_inconsistent_orientations():
-    report = validate(parse_pd("X 1,3,2,4\nX 2,3,1,4"))
-    assert not report.ok
     # edges 1 and 2 give both crossings the same over-strand choice, while
     # edge 3, from slot 3 to slot 3, needs opposite ones
     report = validate(parse_pd("X 2,1,4,3\nX 1,2,4,3"))
     assert report.failures == ("inconsistent strand orientation at crossing 0",)
+
+
+def _oracle_valid(crossings):
+    """C + 2 faces, connected, and some choice of over directions gives every
+    edge one head and one tail, with labels rising by one along each component."""
+    n = len(crossings)
+    ends = {}
+    for ci, x in enumerate(crossings):
+        for s, lab in enumerate(x):
+            ends.setdefault(lab, []).append((ci, s))
+    partner = {}
+    for u, v in ends.values():
+        partner[u], partner[v] = v, u
+    seen, face_count = set(), 0
+    for start in partner:
+        if start not in seen:
+            face_count += 1
+            cur = start
+            while cur not in seen:
+                seen.add(cur)
+                ci, s = partner[cur]
+                cur = (ci, (s - 1) % 4)
+    reached, todo = {0}, [0]
+    while todo:
+        ci = todo.pop()
+        for s in range(4):
+            other = partner[(ci, s)][0]
+            if other not in reached:
+                reached.add(other)
+                todo.append(other)
+    if face_count != n + 2 or len(reached) != n:
+        return False
+    for choice in itertools.product(((1, 3), (3, 1)), repeat=n):
+        succ = {}
+        heads = []
+        for x, (i, o) in zip(crossings, choice):
+            succ[x[0]], succ[x[i]] = x[2], x[o]
+            heads += [x[0], x[i]]
+        if sorted(heads) != list(range(1, 2 * n + 1)) or len(set(succ.values())) != 2 * n:
+            continue
+        rising = True
+        for e in succ:
+            cycle = [e]
+            while succ[cycle[-1]] != e:
+                cycle.append(succ[cycle[-1]])
+            lo = min(cycle)
+            rising &= all(succ[f] == (f + 1 if f + 1 < lo + len(cycle) else lo) for f in cycle)
+        if rising:
+            return True
+    return False
+
+
+def test_validate_matches_an_orientation_search():
+    mismatches = []
+    for labels in sorted(set(itertools.permutations((1, 1, 2, 2, 3, 3, 4, 4)))):
+        crossings = (labels[:4], labels[4:])
+        pd = parse_pd("".join("X {},{},{},{}\n".format(*x) for x in crossings))
+        if validate(pd).ok != _oracle_valid(crossings):
+            mismatches.append(serialize_pd(pd))
+    assert not mismatches, mismatches
+
+
+def test_orientation_readers_are_pinned():
+    # everything that reads which over slot is incoming: signs, mirror, the
+    # Gauss code, the Seifert smoothing and the Fox rows
+    diagrams = []
+    for rec in bundled_table():
+        diagrams += [rec.pd, mirror(rec.pd)]
+        diagrams += [reidemeister_perturb(rec.pd, moves=8, seed=s) for s in range(3)]
+    diagrams += [
+        constructions.torus_2n(5),
+        constructions.torus_2n(-29),
+        constructions.cable2(constructions.torus_2n(3), -5),
+        constructions.whitehead_double(constructions.DoubleSpec(constructions.torus_2n(3), -2, -1)),
+        constructions.paper_family(1)[0],
+    ]
+    assert len(diagrams) == 80
+    h = hashlib.sha256()
+    for pd in diagrams:
+        fox = [[(e.offset, e.coeffs) for e in row] for row in alexander_matrix(pd)]
+        readers = (serialize_pd(mirror(pd)), crossing_signs(pd), gauss_code(pd), seifert_circles(pd), fox)
+        h.update(repr(readers).encode())
+    assert h.hexdigest() == "67b2f950e2b2257b509e253b9d959fbbd7188a4a47767beedaf840c60ee40c7c"
 
 
 def test_validate_rejects_split_diagram():

@@ -198,6 +198,12 @@ def test_explicit_move_sequence():
     assert invariant_tuple(out).key() == TREFOIL_KEY
     with pytest.raises(MoveError):
         reidemeister_perturb(TREFOIL, moves=[("r2-", 0)])
+    # every r2- of this 2-component diagram leaves one circle lying over the other twice
+    pd = parse_pd("X 1,5,2,6\nX 2,5,3,8\nX 3,7,4,8\nX 4,7,1,6")
+    for i in range(4):
+        out = reidemeister_perturb(pd, moves=[("r2-", i)])
+        assert serialize_pd(out) == "X 1,3,2,4\nX 2,3,1,4\n"
+        assert component_count(out) == 2
 
 
 def test_perturbation_rejects_invalid_input():
@@ -242,6 +248,10 @@ def test_perturbation_stays_within_the_crossing_limit():
     out = reidemeister_perturb(pd, moves=6, seed=1)
     size = len(out)  # 10,001 without the limit
     assert size <= MAX_CROSSINGS
+    assert parse_pd(serialize_pd(out)) == out
+    # an r1+ to exactly MAX_CROSSINGS is still drawn when r2+ would pass it
+    out = reidemeister_perturb(torus_2n(MAX_CROSSINGS - 1), moves=4, seed=1)
+    assert len(out) <= MAX_CROSSINGS
     assert parse_pd(serialize_pd(out)) == out
     g = StrandGraph.from_diagram(torus_2n(MAX_CROSSINGS - 1))
     with pytest.raises(MoveError, match="limit of 10000"):
