@@ -94,6 +94,9 @@ def _check(model):
     for bid, genus, circles in model.horizontal_boundary:
         if genus < 0 or circles < 0:
             raise ModelError(f"boundary component {bid}: negative genus or circle count")
+    disks = [d for d, _ in model.compressing_disks]
+    if len(set(disks)) != len(disks):
+        raise ModelError("duplicate disk ids")
     for disk, comp in model.compressing_disks:
         if comp not in set(bids):
             raise ModelError(f"disk {disk} lies on unknown boundary component {comp}")

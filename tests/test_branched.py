@@ -361,6 +361,8 @@ def test_parse_model_errors():
         "curve c S0 S0 S0 same same",
         "sector S0 -1\ncurve c S0 S0 S0 same sidewise 0",
         "sector S0 -1\ndisk D F",
+        "sector S0 -3\ncurve G S0 S0 S0 same same 0\nboundary F+ 2 1\nboundary F- 2 1\n"
+        "disk D F+\ndisk D F-",
     ):
         with pytest.raises(ModelError):
             parse_model(text)

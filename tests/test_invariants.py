@@ -18,6 +18,7 @@ from knotlab.invariants import (
 from knotlab.knotdb import bundled_table
 from knotlab.laurent import LaurentPoly
 from knotlab.moves import reidemeister_perturb
+from knotlab.seifert import incompressibility_certificate
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
 KINK = parse_pd("X 1,2,2,1")
@@ -55,6 +56,50 @@ def test_alexander_drop_bounds():
         alexander(TREFOIL, drop_column=3)
     with pytest.raises(ValueError):
         alexander(TREFOIL, drop_row=-4)
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Counts the Fox-minor eliminations that invariants runs."""
+    calls = []
+    real = invariants.det_laurent
+
+    def counted(minor):
+        calls.append(len(minor))
+        return real(minor)
+
+    monkeypatch.setattr(invariants, "det_laurent", counted)
+    return calls
+
+
+def test_tuple_and_certificate_share_one_alexander(det_calls):
+    pd = torus_2n(7)
+    tup = invariant_tuple(pd)
+    cert = incompressibility_certificate(pd)
+    assert len(det_calls) == 1
+    assert cert.span_half == tup.genus_lower_bound == 3
+
+
+def test_equal_diagrams_do_not_share_alexander(det_calls):
+    first, second = torus_2n(7), torus_2n(7)
+    assert first == second and first is not second
+    for pd in (first, second):
+        invariant_tuple(pd)
+        incompressibility_certificate(pd)
+    assert len(det_calls) == 2
+
+
+def test_non_default_minors_are_eliminated_afresh(det_calls):
+    pd = rational_knot([2, 2])
+    base = alexander(pd)
+    n = len(pd)
+    for j in range(1, n):
+        assert alexander(pd, drop_column=j) == base
+    for i in range(n):
+        for j in range(n):
+            assert alexander(pd, drop_column=j, drop_row=i) == base
+    assert alexander(pd) is base  # no other drop choice replaced the kept result
+    assert len(det_calls) == 1 + (n - 1) + n * n
 
 
 def test_alexander_symmetry_and_unit():

@@ -41,21 +41,30 @@ def test_tracer_binds_every_boundary():
     assert [_lookup(m, attr) for m, attr, _, _ in layers.BOUNDARIES] == before
 
 
-def test_tracer_counts_alexander_sizes():
-    """The size counters read det_laurent's dense input rows; a change to that
-    input format must fail here, not only in a traced benchmark run."""
-    layers = _load_layers()
-    pd = constructions.torus_2n(7)
+def _traced_op(layers, *diagrams):
+    """Layer metrics of one operation that certifies each diagram in turn."""
     tracer = layers.Tracer()
     try:
         tracer.install()
         tracer.begin_op(0)
-        invariants.invariant_tuple(pd)
-        seifert.incompressibility_certificate(pd)
+        for pd in diagrams:
+            invariants.invariant_tuple(pd)
+            seifert.incompressibility_certificate(pd)
         tracer.end_op()
     finally:
         tracer.uninstall()
-    metrics = layers.layer_metrics(tracer.spans, 1)
-    assert metrics["laurent.alexander_det.calls"] == 2
+    return layers.layer_metrics(tracer.spans, 1)
+
+
+def test_tracer_counts_alexander_sizes():
+    """The size counters read det_laurent's dense input rows; a change to that
+    input format must fail here, not only in a traced benchmark run.  The
+    tuple and the certificate share one elimination per diagram object; an
+    equal but distinct diagram pays its own."""
+    layers = _load_layers()
+    metrics = _traced_op(layers, constructions.torus_2n(7))
+    assert metrics["laurent.alexander_det.calls"] == 1
     assert metrics["laurent.alexander_det.dim"] == 6
     assert metrics["laurent.alexander_det.points"] == 7
+    pair = _traced_op(layers, constructions.torus_2n(7), constructions.torus_2n(7))
+    assert pair["laurent.alexander_det.calls"] == 2
