@@ -159,9 +159,36 @@ def _orbits(step, starts):
 def _face_orbits(partner, nodes):
     """Faces of a rotation system given its port pairing (crossing, slot) <->
     (crossing, slot): follow the edge to its other end and turn to the
-    clockwise-adjacent slot."""
-    nxt = {u: (v[0], (v[1] - 1) % 4) for u, v in partner.items()}
-    return _orbits(nxt, ((c, s) for c in nodes for s in range(4)))
+    clockwise-adjacent slot.
+
+    Returns (faces, index, same): the faces as tuples of ports, each entered
+    at its first port in node then slot order; index, port -> (face, position
+    in it); and the number of wires with the same face on both sides.
+    Raises KeyError on a port the pairing leaves unwired.
+    """
+    faces = []
+    index = {}
+    same = 0
+    f = 0
+    for c in nodes:
+        for s in range(4):
+            h = (c, s)
+            if h in index:
+                continue
+            face = []
+            i = 0
+            while h not in index:
+                index[h] = (f, i)
+                i += 1
+                face.append(h)
+                e = partner[h]
+                # a wire is counted at the second of its two ports to be walked
+                if e in index and index[e][0] == f:
+                    same += 1
+                h = (e[0], (e[1] - 1) % 4)
+            faces.append(tuple(face))
+            f += 1
+    return faces, index, same
 
 
 class _ParityUnionFind:
@@ -209,14 +236,19 @@ class _Resolved:
         "over",
         "signs",
         "faces",
-        "face_of_corner",
+        "face_of_corner",  # corner -> (face, position in it)
     )
 
 
 def _resolve(pd):
     r = _Resolved()
-    failures = []
     n = len(pd.crossings)
+    if n > MAX_CROSSINGS:
+        # a diagram built in the library reaches here without parse_pd's check
+        r.ok = False
+        r.failures = (f"diagram of {n} crossings exceeds the limit of {MAX_CROSSINGS}",)
+        return r
+    failures = []
     ne = 2 * n
 
     occ = _occurrences(pd)
@@ -304,12 +336,14 @@ def _resolve(pd):
             )
     r.components = components
 
-    # connectivity of the underlying 4-valent graph
-    uf = _ParityUnionFind(n)
-    for (c1, _), (c2, _) in occ.values():
-        uf.union(c1, c2)
-    if not uf.connected():
-        failures.append("split diagram: underlying graph is disconnected")
+    # connectivity of the underlying 4-valent graph; one strand passes every
+    # crossing, so only a link can be split
+    if len(components) > 1:
+        uf = _ParityUnionFind(n)
+        for (c1, _), (c2, _) in occ.values():
+            uf.union(c1, c2)
+        if not uf.connected():
+            failures.append("split diagram: underlying graph is disconnected")
 
     r.faces = ()
     r.face_of_corner = {}
@@ -318,8 +352,8 @@ def _resolve(pd):
         for u, v in occ.values():
             partner[u] = v
             partner[v] = u
-        r.faces = tuple(_face_orbits(partner, range(n)))
-        r.face_of_corner = {h: fi for fi, face in enumerate(r.faces) for h in face}
+        faces, r.face_of_corner, _ = _face_orbits(partner, range(n))
+        r.faces = tuple(faces)
         if len(r.faces) != n + 2:
             failures.append(
                 f"rotation system is not planar: {len(r.faces)} faces, expected {n + 2}"
@@ -401,9 +435,9 @@ def checkerboard(pd):
     for u, v in rr.occ.values():
         # the two faces on either side of an edge are the orbits of its two
         # departure half-edges, and they must get opposite colors
-        if not uf.union(rr.face_of_corner[u], rr.face_of_corner[v], True):
+        if not uf.union(rr.face_of_corner[u][0], rr.face_of_corner[v][0], True):
             raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
-    _, white = uf.find(rr.face_of_corner[(0, 0)])
+    _, white = uf.find(rr.face_of_corner[(0, 0)][0])
     return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
 
 

@@ -3,10 +3,10 @@
 Alexander polynomial by Fox calculus on the Wirtinger presentation,
 determinant computed two independent ways (|Alexander at -1| and the Goeritz
 determinant) that must agree, and the signature from the Goeritz form with
-the Gordon-Litherland correction.  One sparse elimination of the Goeritz form
-gives both its signature and its determinant, the product of its pivots;
-the dense Bareiss det_int is kept only as the reference the tests compare
-that determinant against.  Both checkerboard colors give the same signature
+the Gordon-Litherland correction.  One sparse elimination of the Goeritz form,
+fraction-free and in ints throughout, gives both its signature and its
+determinant, the last pivot as stored; the dense Bareiss det_int is kept only
+as the reference the tests compare that determinant against.  Both checkerboard colors give the same signature
 and |det| (Gordon-Litherland), so invariant_tuple eliminates the form of the
 color with fewer faces, white on a tie: on a long twist region one color
 holds nearly every face and the other only a few.
@@ -152,8 +152,9 @@ def _goeritz(pd, color=None):
     pos = {f: k - 1 for k, f in enumerate(carrier)}  # the anchor face maps to -1
     rows = [{} for _ in carrier[1:]]
     mu = 0
+    face_of = rr.face_of_corner
     for ci in range(len(pd)):
-        corners = [k for k in range(4) if colors[rr.face_of_corner[(ci, k)]] == color]
+        corners = [k for k in range(4) if colors[face_of[(ci, k)][0]] == color]
         if corners not in ([0, 2], [1, 3]):
             raise InconsistencyError(f"crossing {ci}: carrier corners not diagonal")
         d02 = corners == [0, 2]
@@ -161,8 +162,8 @@ def _goeritz(pd, color=None):
         positive = rr.signs[ci] > 0
         if (d02 and not positive) or (not d02 and positive):
             mu += eta
-        fi = pos[rr.face_of_corner[(ci, corners[0])]]
-        fj = pos[rr.face_of_corner[(ci, corners[1])]]
+        fi = pos[face_of[(ci, corners[0])][0]]
+        fj = pos[face_of[(ci, corners[1])][0]]
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:

@@ -400,34 +400,50 @@ def det_laurent(rows):
     return -d if negative != _is_odd(perm) else d
 
 
+def _rescale(row, old, new):
+    """Move a row of symmetric_signature from scale old to scale new, exactly."""
+    if old != new:
+        for c, e in row.items():
+            row[c] = e * new // old
+
+
 def symmetric_signature(rows):
     """Signature and determinant of a symmetric integer matrix, exact.
 
     The matrix comes as sparse rows: rows[i] is a dict {column: int} of row
     i's entries, where absent columns and zero values both read as 0.
 
-    Sparse symmetric elimination over Q (an LDL^T), on one dict per row that,
-    by symmetry, is also its column, and that stores no zero.  Each step
+    Sparse symmetric elimination (an LDL^T), on one dict per row that, by
+    symmetry, is also its column, and that stores no zero.  Each step
     pivots on the nonzero diagonal entry whose row has the fewest entries,
     the first such row on ties.  When no diagonal is left, it takes the first
     off-diagonal pair (i, j) and adds row and column j to row and column i,
     a congruence of determinant 1 that makes a_ii = 2 a_ij nonzero; i then
     pivots.  By Sylvester's law of inertia the signature is the count of the
-    pivots' signs; rank deficiency contributes zero.  The congruences keep
-    the determinant, so it is the product of the pivots, and 0 when a row
-    empties without pivoting.  det_int is the independent reference the
-    tests hold this determinant to.
+    pivots' signs; rank deficiency contributes zero.
+
+    The elimination is fraction-free, after Bareiss (Math. Comp. 22, 1968),
+    so every entry stays an int: a row's entries are its Schur complement
+    entries times the scale D, the last pivot as stored, of the last step
+    that touched the row.  A step with stored pivot p rescales each row it
+    touches exactly, row * D // D_row, and updates a_kl to
+    (p a_kl - a_k a_l) // D, which is exact by Sylvester's identity; rows it
+    does not touch keep their scale.  The true pivot is p / D, so its sign
+    is sign(p) sign(D).  The congruences keep the determinant, so it is the
+    last stored pivot, and 0 when a row empties without pivoting.  det_int is
+    the independent reference the tests hold this determinant to.
 
     Returns (signature, determinant).  Raises ValueError when a column is not
-    an int in range(len(rows)) or the rows are not symmetric.
+    an int in range(len(rows)), an entry's type is not int (bool included),
+    or the rows are not symmetric.
     """
-    from fractions import Fraction  # loads decimal: processes that need no signature skip it
-
     n = len(rows)
-    live = {}  # row index -> {column: nonzero int or Fraction}; empty rows are dropped
+    live = {}  # row index -> {column: nonzero int}; empty rows are dropped
     for i, r in enumerate(rows):
         if any(type(j) is not int or not 0 <= j < n for j in r):
             raise ValueError(f"row {i} has a column outside range({n})")
+        if any(type(e) is not int for e in r.values()):
+            raise ValueError(f"row {i} has an entry that is not an int")
         row = {j: e for j, e in r.items() if e}
         if row:
             live[i] = row
@@ -435,7 +451,8 @@ def symmetric_signature(rows):
         for j, e in row.items():
             if live.get(j, {}).get(i) != e:
                 raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) differ")
-    sig, det, rank = 0, 1, 0
+    scale = [1] * n  # per row, the stored pivot its entries are scaled by
+    sig, rank, d = 0, 0, 1  # d: the last stored pivot, the scale of a touched row
     while live:
         best, size = None, n + 1
         for i, row in live.items():
@@ -444,34 +461,49 @@ def symmetric_signature(rows):
                 if size == 1:
                     break  # nothing beats a pivot without fill-in
         if best is None:
-            # no diagonal left: add row and column j to row and column i = best
+            # no diagonal left: add row and column j to row and column i = best,
+            # rows i and j at scale d and each other row at its own
             best = next(iter(live))
             ri = live[best]
             j = min(ri)
-            for k, e in live[j].items():
+            rj = live[j]
+            for k in (best, j):
+                _rescale(live[k], scale[k], d)
+                scale[k] = d
+            for k, e in rj.items():
                 if k == best:
                     continue
+                rk = live[k]
                 v = ri.get(k, 0) + e
                 if v:
-                    ri[k] = live[k][best] = v
+                    ri[k] = v
+                    rk[best] = rk.get(best, 0) + rk[j]
                 else:
                     del ri[k]
-                    del live[k][best]
+                    del rk[best]
             ri[best] = 2 * ri[j]
         prow = live.pop(best)
-        p = Fraction(prow.pop(best))
-        sig += 1 if p > 0 else -1
-        det *= p
+        _rescale(prow, scale[best], d)
+        p = prow.pop(best)
+        sig += 1 if (p > 0) == (d > 0) else -1
         rank += 1
         touched = list(prow)
+        # each touched row goes to scale p: an entry outside the pivot row's
+        # columns is multiplied by p / D_row, one inside is first put at scale d
         for k in touched:
-            del live[k][best]
-        # rank-one update a_kl -= a_k a_l / p, each pair once, written to both triangles
+            row = live[k]
+            del row[best]
+            sk = scale[k]
+            if sk != d or p != d:
+                for c, e in row.items():
+                    row[c] = e * d // sk if c in prow else e * p // sk
+            scale[k] = p
+        # a_kl = (p a_kl - a_k a_l) / d, each pair once, written to both triangles
         for a, k in enumerate(touched):
             row = live[k]
-            f = prow[k] / p
+            f = prow[k]
             for l in touched[a:]:
-                e = row.get(l, 0) - f * prow[l]
+                e = (p * row.get(l, 0) - f * prow[l]) // d
                 if e:
                     row[l] = live[l][k] = e
                 else:
@@ -480,4 +512,5 @@ def symmetric_signature(rows):
         for k in touched:
             if not live[k]:
                 del live[k]
-    return sig, int(det) if rank == n else 0
+        d = p
+    return sig, d if rank == n else 0

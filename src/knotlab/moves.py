@@ -9,11 +9,12 @@ surfaces before it can corrupt downstream invariants.
 
 A random move picks a kind uniformly among the kinds that have sites, then a
 site uniformly in that kind's deterministic candidate order.  The faces are
-traced once per graph state (``StrandGraph.faces`` remembers them until the
-next mutation) and every kind reads that one trace.  r1+ and r2+ sites, the
-many, are counted and only the drawn one is built; it is the site
-``move_candidates`` lists at the drawn index, so the listed and the drawn
-sites are the same.
+walked once per graph state (``StrandGraph.face_walk`` remembers the walk
+until the next mutation) and every kind reads that one walk: r1-, r2- and r3
+its faces, r2+ its port index and its count of wires with one face on both
+sides.  r1+ and r2+ sites, the many, are counted and only the drawn one is
+built; it is the site ``move_candidates`` lists at the drawn index, so the
+listed and the drawn sites are the same.
 
 Ports are PD slots (``knotlab.wiring``), so a port's level is its parity:
 odd ports carry the over-strand.  Conventions used by the rewirings:
@@ -94,9 +95,7 @@ def _count_r2_add(g):
     """len(_candidates_r2_add(g)): two variants per pair of sides of a face,
     less the pairs that are one wire seen from both sides (a wire bounds one
     face on both sides only in a rotation system that is not planar)."""
-    faces = g.faces()
-    face_of = {h: f for f, face in enumerate(faces) for h in face}
-    same_wire = sum(face_of[h] == face_of[e] for h, e in g.conn.items()) // 2
+    faces, _, same_wire = g.face_walk()
     return 2 * (sum(len(face) * (len(face) - 1) // 2 for face in faces) - same_wire)
 
 
@@ -108,8 +107,7 @@ def _r2_add_sites(g, skip=0):
     yields every site in sorted order, and the sites of an h1 wholly before
     the skip-th are counted, never built.
     """
-    faces = g.faces()
-    where = {h: (f, i) for f, face in enumerate(faces) for i, h in enumerate(face)}
+    faces, where, _ = g.face_walk()
     for h1 in sorted(where):
         f, i = where[h1]
         face = faces[f]
@@ -292,7 +290,7 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     have sites, then a site uniformly in the kind's ``move_candidates``
     order.  For an n-crossing input, r1+ and r2+ are both drawn only while
     the diagram has at most max(2n, n + 8) - 2 crossings, and each only while
-    its result stays within MAX_CROSSINGS.  The faces are traced once per
+    its result stays within MAX_CROSSINGS.  The faces are walked once per
     graph state, and r1+ and r2+ sites are counted and only the drawn one is
     built; it is the site ``move_candidates`` lists at the drawn index.
 

@@ -20,21 +20,21 @@ class WiringError(KnotlabError):
 class StrandGraph:
     """Nodes and wires, mutated only through the methods below.
 
-    The face trace is remembered until the next mutation, so every move kind
-    enumerated on one graph state reads the same trace.
+    The face walk is remembered until the next mutation, so every move kind
+    enumerated on one graph state reads the same walk.
     """
 
     def __init__(self):
         self.nodes = set()
         self.conn = {}
         self._next = 0
-        self._faces = None
+        self._walk = None
 
     def add_node(self):
         nid = self._next
         self._next += 1
         self.nodes.add(nid)
-        self._faces = None
+        self._walk = None
         return nid
 
     def connect(self, u, v):
@@ -47,14 +47,14 @@ class StrandGraph:
             raise WiringError(f"port already wired: {u if u in self.conn else v}")
         self.conn[u] = v
         self.conn[v] = u
-        self._faces = None
+        self._walk = None
 
     def disconnect(self, u):
         if u not in self.conn:
             raise WiringError(f"port {u} is not wired")
         v = self.conn.pop(u)
         del self.conn[v]
-        self._faces = None
+        self._walk = None
         return v
 
     def remove_node(self, nid):
@@ -64,7 +64,7 @@ class StrandGraph:
             if (nid, p) in self.conn:
                 raise WiringError("remove_node on a wired node")
         self.nodes.remove(nid)
-        self._faces = None
+        self._walk = None
 
     def wires(self):
         """Deterministic list of wires as ordered port pairs (u < v)."""
@@ -113,14 +113,19 @@ class StrandGraph:
         for a, b in pairs:
             self.connect(a, b)
 
-    def faces(self):
-        """Face orbits of the rotation system as tuples of departure ports.
+    def face_walk(self):
+        """(faces, port -> (face, position in it), number of wires with the
+        same face on both sides), as diagram._face_orbits returns them.
 
-        Traced once per graph state; callers must not mutate the list.
+        Walked once per graph state; callers must not mutate the result.
         """
-        if self._faces is None:
-            self._faces = _face_orbits(self.conn, sorted(self.nodes))
-        return self._faces
+        if self._walk is None:
+            self._walk = _face_orbits(self.conn, sorted(self.nodes))
+        return self._walk
+
+    def faces(self):
+        """Face orbits of the rotation system as tuples of departure ports."""
+        return self.face_walk()[0]
 
     @classmethod
     def from_diagram(cls, pd):

@@ -5,11 +5,13 @@ import itertools
 
 import pytest
 
-from knotlab import constructions
+from knotlab import constructions, diagram
 from knotlab.diagram import (
     MAX_CROSSINGS,
     ParseError,
     PlanarDiagram,
+    ValidationError,
+    _valid,
     checkerboard,
     component_count,
     crossing_signs,
@@ -24,8 +26,9 @@ from knotlab.diagram import (
 )
 from knotlab.invariants import alexander_matrix, invariant_tuple
 from knotlab.knotdb import bundled_table
-from knotlab.moves import reidemeister_perturb
+from knotlab.moves import _apply_r1_add, reidemeister_perturb
 from knotlab.seifert import seifert_circles
+from knotlab.wiring import StrandGraph
 
 TREFOIL = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3"
 KINK = "X 1,2,2,1"
@@ -67,6 +70,26 @@ def test_parse_refuses_more_than_max_crossings():
     assert len(parse_pd(text)) == MAX_CROSSINGS
     with pytest.raises(ParseError, match=f"^line {MAX_CROSSINGS + 1}: more than 10000 crossings$"):
         parse_pd(text + "X 1,2,3,4\n")
+
+
+def test_validate_refuses_a_built_diagram_over_max_crossings(monkeypatch):
+    """A diagram built in the library, not parsed, is held to the same limit."""
+    g = StrandGraph.from_diagram(constructions.torus_2n(MAX_CROSSINGS - 1))
+    _apply_r1_add(g, (g.wires()[0], 0))
+    at_limit = g.to_diagram()
+    assert len(at_limit) == MAX_CROSSINGS and validate(at_limit).ok
+    for _ in range(2):
+        _apply_r1_add(g, (g.wires()[0], 0))
+    pd = g.to_diagram()
+    assert len(pd) == MAX_CROSSINGS + 2
+    report = validate(pd)
+    assert not report.ok
+    assert report.failures == ("diagram of 10002 crossings exceeds the limit of 10000",)
+    with pytest.raises(ValidationError, match="^diagram of 10002 crossings exceeds the limit of 10000$"):
+        _valid(pd)
+    # the limit is the first check, made before any per-crossing work
+    monkeypatch.setattr(diagram, "_occurrences", None)
+    assert diagram._resolve(pd).failures == report.failures
 
 
 def test_validate_trefoil():

@@ -405,3 +405,11 @@ def test_symmetric_signature_rejects_malformed():
         symmetric_signature([{0: 1}, {2: 1}])
     with pytest.raises(ValueError, match="outside range"):
         symmetric_signature([{0: 1, "1": 2}, {0: 2}])
+    # an entry must be an int: a float or a string used to give a wrong determinant
+    for bad in (0.5, "1", True):
+        with pytest.raises(ValueError, match="^row 1 has an entry that is not an int"):
+            symmetric_signature([{0: 1}, {1: bad}])
+    with pytest.raises(ValueError, match="^row 0 has an entry that is not an int"):
+        symmetric_signature([{0: 0.5}])
+    with pytest.raises(ValueError, match="^row 0 has an entry that is not an int"):
+        symmetric_signature([{0: "1"}])

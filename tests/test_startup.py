@@ -78,10 +78,13 @@ def test_subcommands_import_what_they_use(argv, loaded):
 
 
 @pytest.mark.parametrize(
-    "argv", [["validate"], ["seifert"], ["bf", "--genus", "1"]], ids=["validate", "seifert", "bf"]
+    "argv",
+    [["validate"], ["seifert"], ["bf", "--genus", "1"], ["invariants"], ["identify"]],
+    ids=["validate", "seifert", "bf", "invariants", "identify"],
 )
 def test_commands_without_a_signature_skip_fractions(argv):
-    """Only the Goeritz signature needs Fraction, and importing it loads decimal."""
+    """No command loads fractions, whose import loads decimal: the Goeritz
+    signature is eliminated in integers."""
     body = f"from knotlab import cli\ncli.main({argv!r})"
     probe = _PROBE.format(body=body, names=("fractions", "decimal"))
     assert _fresh(probe, stdin="X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n") == "[]"

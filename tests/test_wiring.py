@@ -113,15 +113,23 @@ def test_faces_counts_match_euler():
 
 
 def _assert_fresh_faces(g):
-    """g.faces() is what a fresh trace of the current wiring gives; a graph
-    with an unwired port has no faces, and must not answer from a stale trace."""
+    """g.faces() and g.face_walk() are what a fresh walk of the current wiring
+    gives; a graph with an unwired port has no faces, and must not answer
+    from a stale walk.  The port index and the same-face wire count are also
+    recomputed from the faces and the wires."""
     try:
         want = _face_orbits(g.conn, sorted(g.nodes))
     except KeyError:
-        with pytest.raises(KeyError):
-            g.faces()
-    else:
-        assert g.faces() == want
+        for walk in (g.faces, g.face_walk):
+            with pytest.raises(KeyError):
+                walk()
+        return
+    got, index, same = g.face_walk()
+    assert g.faces() == got == want[0]
+    assert index == want[1]
+    assert index == {h: (f, i) for f, face in enumerate(got) for i, h in enumerate(face)}
+    assert same == want[2]
+    assert same == sum(index[h][0] == index[e][0] for h, e in g.conn.items()) // 2
 
 
 def test_faces_are_forgotten_on_every_mutation():
@@ -145,6 +153,11 @@ def test_faces_are_forgotten_on_every_mutation():
     kinked.splice_out({kink})
     _assert_fresh_faces(kinked)
     assert len(kinked.faces()) == len(TREFOIL) + 2
+
+    # a rotation system that is not planar: its wires bound one face on both sides
+    twisted = StrandGraph.from_diagram(parse_pd("X 1,2,1,2"))
+    _assert_fresh_faces(twisted)
+    assert twisted.face_walk()[2] == 2
 
     # this seeded rewrite has sites of all five kinds
     g = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=8, seed=3))
