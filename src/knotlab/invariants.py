@@ -1,15 +1,19 @@
 """Exact integer invariants of knot diagrams.
 
-Alexander polynomial by Fox calculus on the Wirtinger presentation,
-determinant computed two independent ways (|Alexander at -1| and the Goeritz
+Alexander polynomial from Alexander's region matrix (Trans. AMS 30, 1928),
+read off the faces that validating the diagram already traced; the Fox
+calculus minors of the Wirtinger presentation stay as explicit choices and
+as the cross-check the tests hold the default to.  The determinant is
+computed two independent ways (|Alexander at -1| and the Goeritz
 determinant) that must agree, and the signature from the Goeritz form with
-the Gordon-Litherland correction.  One sparse elimination of the Goeritz form,
-fraction-free and in ints throughout, gives both its signature and its
-determinant, the last pivot as stored; the dense Bareiss det_int is kept only
-as the reference the tests compare that determinant against.  Both checkerboard colors give the same signature
-and |det| (Gordon-Litherland), so invariant_tuple eliminates the form of the
-color with fewer faces, white on a tie: on a long twist region one color
-holds nearly every face and the other only a few.
+the Gordon-Litherland correction.  One sparse elimination of the Goeritz
+form, fraction-free and in ints throughout, gives both its signature and its
+determinant, the last pivot as stored; the dense Bareiss det_int is kept
+only as the reference the tests compare that determinant against.  Both
+checkerboard colors give the same signature and |det| (Gordon-Litherland),
+so invariant_tuple eliminates the form of the color with fewer faces, white
+on a tie: on a long twist region one color holds nearly every face and the
+other only a few.
 
 Sign conventions, fixed once and anchored by the positive trefoil:
 
@@ -22,7 +26,7 @@ Sign conventions, fixed once and anchored by the positive trefoil:
 
 The test suite holds both colors to the same signature and |det|.
 
-Alexander's default minor is eliminated once per diagram object: alexander
+Alexander's default matrix is eliminated once per diagram object: alexander
 keeps the last object's polynomial, so invariant_tuple and the Seifert
 certificate share one elimination.  Every other call recomputes.
 """
@@ -94,27 +98,74 @@ def alexander_matrix(pd):
     return rows
 
 
-_last = (None, None)  # (diagram object, its default-minor Alexander polynomial)
+# Alexander's corner labels (Trans. AMS 30, 1928): corners 0 and 3 flank
+# the incoming under edge, 1 and 2 the outgoing one.
+_CORNER_LABEL = (T, _MT, ONE, _MINUS_ONE)
 
 
-def alexander(pd, drop_column=0, drop_row=None):
-    """Canonical Alexander polynomial via an (n-1)x(n-1) Fox minor.
+def _region_minor(pd):
+    """Alexander's region matrix with the columns of two adjacent faces deleted.
 
-    Which row and column get dropped is immaterial up to units; the canonical
-    form removes the unit, and the test suite quantifies over all choices.
-    With the default drop choice the polynomial of the last diagram object
-    asked is kept, and asking for that same object again (invariant_tuple,
-    then the Seifert certificate) returns it; diagrams are immutable, so one
-    object has one polynomial.  An equal but distinct diagram, or any other
-    drop choice, is eliminated afresh, and only default results are kept.
+    One row per crossing, one column per face; corners 0, 1, 2 and 3 add t,
+    -t, 1 and -1 to the column of the face they lie in, so two corners of one
+    crossing in the same face add up.  The deleted faces are the two beside
+    the edge whose faces hold the most corners, the first such edge in
+    crossing and slot order, so the densest columns go.  The square minor
+    left has determinant Delta up to a unit.
+    """
+    rr = _require_knot(pd)
+    faces = rr.faces
+    face_of = rr.face_of_corner
+    best = -1
+    for u, v in rr.occ.values():
+        fu, fv = face_of[u][0], face_of[v][0]
+        size = len(faces[fu]) + len(faces[fv])
+        if size > best:
+            best, gone = size, (fu, fv)
+    zero = LaurentPoly()
+    rows = [[zero] * len(pd) for _ in pd.crossings]
+    j = 0
+    for f, face in enumerate(faces):
+        if f in gone:
+            continue
+        for ci, k in face:
+            row = rows[ci]
+            row[j] = row[j] + _CORNER_LABEL[k] if row[j].coeffs else _CORNER_LABEL[k]
+        j += 1
+    return rows
+
+
+_last = (None, None)  # (diagram object, its default-route Alexander polynomial)
+
+
+def alexander(pd, drop_column=None, drop_row=None):
+    """Canonical Alexander polynomial.
+
+    By default the determinant of _region_minor, Alexander's own matrix: the
+    faces come from the trace the diagram's validation already made.  An
+    explicit drop_column or drop_row takes the (n-1)x(n-1) Fox minor of
+    alexander_matrix instead, dropping that column (0 when not given) and
+    that row (the last when not given).  Every choice gives Delta up to a
+    unit, which the canonical form removes; the test suite quantifies over
+    all Fox minors and holds them to the default.  The default polynomial of
+    the last diagram object asked is kept, and asking for that same object
+    again (invariant_tuple, then the Seifert certificate) returns it;
+    diagrams are immutable, so one object has one polynomial.  An equal but
+    distinct diagram, or any Fox minor, is eliminated afresh, and only
+    default results are kept.
     """
     global _last
-    default = drop_column == 0 and drop_row is None
-    last_pd, last_delta = _last  # one read: the pair is replaced whole
-    if default and last_pd is pd:
-        return last_delta
+    if drop_column is None and drop_row is None:
+        last_pd, last_delta = _last  # one read: the pair is replaced whole
+        if last_pd is pd:
+            return last_delta
+        delta = det_laurent(_region_minor(pd)).canonical()
+        _last = (pd, delta)
+        return delta
     rows = alexander_matrix(pd)
     n = len(rows)
+    if drop_column is None:
+        drop_column = 0
     if not 0 <= drop_column < n:
         raise ValueError("drop_column out of range")
     if drop_row is None:
@@ -126,10 +177,7 @@ def alexander(pd, drop_column=0, drop_row=None):
         for i, row in enumerate(rows)
         if i != drop_row
     ]
-    delta = det_laurent(minor).canonical()
-    if default:
-        _last = (pd, delta)
-    return delta
+    return det_laurent(minor).canonical()
 
 
 def _goeritz(pd, color=None):

@@ -3,7 +3,14 @@
 import pytest
 
 from knotlab import invariants
-from knotlab.constructions import DoubleSpec, cable2, rational_knot, torus_2n, whitehead_double
+from knotlab.constructions import (
+    DoubleSpec,
+    cable2,
+    paper_family,
+    rational_knot,
+    torus_2n,
+    whitehead_double,
+)
 from knotlab.diagram import ValidationError, checkerboard, mirror, parse_pd
 from knotlab.invariants import (
     _goeritz,
@@ -49,6 +56,37 @@ def test_fox_minor_independence():
         for i in range(n):
             for j in range(n):
                 assert alexander(pd, drop_column=j, drop_row=i) == base, (i, j)
+
+
+def _route_agreement_corpus():
+    """Diagrams the default region route and the Fox minor must agree on."""
+    for rec in bundled_table():
+        yield rec.name, rec.pd
+        for moves in (8, 40):
+            yield f"{rec.name} {moves} moves", reidemeister_perturb(rec.pd, moves=moves, seed=moves)
+    cable = TREFOIL
+    for fold in (1, 2, 3):
+        cable = cable2(cable, 1)
+        yield f"{fold}-fold trefoil cable", cable
+    for twists in (-2, 0, 3):
+        for clasp in (1, -1):
+            yield f"double {twists} {clasp}", whitehead_double(DoubleSpec(torus_2n(5), twists, clasp))
+    for n in range(4):
+        yield f"family {n}", paper_family(n)[0]
+    yield "rational 31", rational_knot([2, 3, 5, 7, 9, 5])
+    yield "torus 801", torus_2n(801)
+    # two corners of one crossing in the same face: their labels add up
+    yield "kink", KINK
+    for site in range(24):
+        yield f"trefoil r1+ {site}", reidemeister_perturb(TREFOIL, moves=[("r1+", site)])
+        yield f"trefoil r1+ {site} twice", reidemeister_perturb(
+            TREFOIL, moves=[("r1+", site), ("r1+", site)]
+        )
+
+
+def test_region_route_matches_fox_minor():
+    for name, pd in _route_agreement_corpus():
+        assert alexander(pd) == alexander(pd, drop_column=len(pd) - 1), name
 
 
 def test_alexander_drop_bounds():

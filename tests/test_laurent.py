@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from knotlab import laurent
 from knotlab.constructions import DoubleSpec, cable2, rational_knot, torus_2n, whitehead_double
 from knotlab.diagram import parse_pd
-from knotlab.invariants import _goeritz, alexander_matrix
+from knotlab.invariants import _goeritz, _region_minor, alexander_matrix
 from knotlab.knotdb import bundled_table
 from knotlab.moves import reidemeister_perturb
 from knotlab.laurent import (
@@ -242,6 +242,25 @@ def test_det_laurent_triple_cable(residuals):
     assert d.canonical() == LaurentPoly([1] + [0] * 7 + [-1] + [0] * 7 + [1])
     assert d == LaurentPoly([-1] + [0] * 7 + [1] + [0] * 7 + [-1], 175)
     assert residuals == [15]
+
+
+@pytest.mark.parametrize(
+    "folds, residual",
+    [(2, 3), (3, 6)],
+    ids=["double", "triple"],
+)
+def test_det_laurent_region_minor_of_cables(residuals, folds, residual):
+    """Alexander's region matrix, the default Alexander route, has only unit
+    entries, so unit pivots leave a smaller Bareiss residual than the Fox
+    minor's 7 and 15 on the same cables; the pinned size pins the deleted
+    faces and the pivot rule together."""
+    pd = torus_2n(3)
+    for _ in range(folds):
+        pd = cable2(pd, 1)
+    stretch = 2 ** folds
+    d = det_laurent(_region_minor(pd))
+    assert d.canonical() == LaurentPoly([1] + [0] * (stretch - 1) + [-1] + [0] * (stretch - 1) + [1])
+    assert residuals == [residual]
 
 
 def test_det_laurent_known_values():

@@ -64,7 +64,7 @@ def test_tracer_counts_alexander_sizes():
     layers = _load_layers()
     metrics = _traced_op(layers, constructions.torus_2n(7))
     assert metrics["laurent.alexander_det.calls"] == 1
-    assert metrics["laurent.alexander_det.dim"] == 6
+    assert metrics["laurent.alexander_det.dim"] == 7
     assert metrics["laurent.alexander_det.points"] == 7
     pair = _traced_op(layers, constructions.torus_2n(7), constructions.torus_2n(7))
     assert pair["laurent.alexander_det.calls"] == 2
