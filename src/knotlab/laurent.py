@@ -291,9 +291,9 @@ def det_laurent(rows):
     Sparse elimination on unit pivots +-t^k, whose inverses are exact, chosen
     by the Markowitz least-fill rule: least (r-1)(c-1) over the live units,
     the first in row order and then in the row's own order on ties.  Every
-    row of Alexander's region matrix and every Wirtinger Fox row starts with
-    such entries.  Each live row keeps the columns of
-    its units, recomputed only when an update touches the row.  The update
+    row of Alexander's region matrix and every Wirtinger Fox row has such
+    entries.  Each live row keeps the columns of its units, recomputed only
+    when an update touches the row.  The update
     row -= (row[j] / unit) * pivot row is one pass over coefficient lists per
     entry.  When no unit is left, the residual block goes to
     det_laurent_bareiss, its rows in order of span and its columns in order

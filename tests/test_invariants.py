@@ -77,7 +77,7 @@ def _route_agreement_corpus():
     yield "torus 801", torus_2n(801)
     # two corners of one crossing in the same face: their labels add up
     yield "kink", KINK
-    for site in range(24):
+    for site in range(24):  # 6 wires, 4 kinds of kink on each
         yield f"trefoil r1+ {site}", reidemeister_perturb(TREFOIL, moves=[("r1+", site)])
         yield f"trefoil r1+ {site} twice", reidemeister_perturb(
             TREFOIL, moves=[("r1+", site), ("r1+", site)]

@@ -251,9 +251,10 @@ def test_det_laurent_triple_cable(residuals):
 )
 def test_det_laurent_region_minor_of_cables(residuals, folds, residual):
     """Alexander's region matrix, the default Alexander route, has only unit
-    entries, so unit pivots leave a smaller Bareiss residual than the Fox
-    minor's 7 and 15 on the same cables; the pinned size pins the deleted
-    faces and the pivot rule together."""
+    entries on a diagram without nugatory crossings, so unit pivots leave a
+    smaller Bareiss residual than the Fox minor's 7 and 15 on the same
+    cables; the pinned size pins the deleted faces and the pivot rule
+    together."""
     pd = torus_2n(3)
     for _ in range(folds):
         pd = cable2(pd, 1)
