@@ -1,10 +1,12 @@
 """Exact integer invariants of knot diagrams.
 
-Alexander polynomial from Alexander's region matrix (Trans. AMS 30, 1928),
-read off the faces that validating the diagram already traced; the Fox
-calculus minors of the Wirtinger presentation stay as explicit choices and
-as the cross-check the tests hold the default to.  The determinant is
-computed two independent ways (|Alexander at -1| and the Goeritz
+invariant_tuple computes every invariant, each cross-check made once;
+alexander, determinant, signature and genus_lower_bound each read one of its
+fields.  The Alexander polynomial comes from Alexander's region matrix
+(Trans. AMS 30, 1928), read off the faces that validating the diagram
+already traced; the Fox calculus matrix of the Wirtinger presentation
+(alexander_matrix) is the reference the tests hold it to.  The determinant
+is computed two independent ways (|Alexander at -1| and the Goeritz
 determinant) that must agree, and the signature from the Goeritz form with
 the Gordon-Litherland correction.  One sparse elimination of the Goeritz
 form, fraction-free and in ints throughout, gives both its signature and its
@@ -25,10 +27,6 @@ Sign conventions, fixed once and anchored by the positive trefoil:
   mu = sum of eta over type II crossings.  Positive trefoil: -2.
 
 The test suite holds both colors to the same signature and |det|.
-
-Alexander's default matrix is eliminated once per diagram object: alexander
-keeps the last object's polynomial, so invariant_tuple and the Seifert
-certificate share one elimination.  Every other call recomputes.
 """
 
 from __future__ import annotations
@@ -76,7 +74,10 @@ def alexander_matrix(pd):
 
     Row for a positive crossing with over arc o, incoming under arc u and
     outgoing under arc v: (1-t)*o + t*u - v.  Negative crossing (the relation
-    conjugates the other way, then scaled by t): (t-1)*o + u - t*v.
+    conjugates the other way, then scaled by t): (t-1)*o + u - t*v.  Every
+    (n-1)x(n-1) minor has determinant Delta up to a unit.  No invariant is
+    computed from it: it is the Fox reference the tests hold the region
+    route to.
     """
     rr = _require_knot(pd)
     arc_of, arcs = _arc_of(pd, rr)
@@ -135,49 +136,10 @@ def _region_minor(pd):
     return rows
 
 
-_last = (None, None)  # (diagram object, its default-route Alexander polynomial)
-
-
-def alexander(pd, drop_column=None, drop_row=None):
-    """Canonical Alexander polynomial.
-
-    By default the determinant of _region_minor, Alexander's own matrix: the
-    faces come from the trace the diagram's validation already made.  An
-    explicit drop_column or drop_row takes the (n-1)x(n-1) Fox minor of
-    alexander_matrix instead, dropping that column (0 when not given) and
-    that row (the last when not given).  Every choice gives Delta up to a
-    unit, which the canonical form removes; the test suite quantifies over
-    all Fox minors and holds them to the default.  The default polynomial of
-    the last diagram object asked is kept, and asking for that same object
-    again (invariant_tuple, then the Seifert certificate) returns it;
-    diagrams are immutable, so one object has one polynomial.  An equal but
-    distinct diagram, or any Fox minor, is eliminated afresh, and only
-    default results are kept.
-    """
-    global _last
-    if drop_column is None and drop_row is None:
-        last_pd, last_delta = _last  # one read: the pair is replaced whole
-        if last_pd is pd:
-            return last_delta
-        delta = det_laurent(_region_minor(pd)).canonical()
-        _last = (pd, delta)
-        return delta
-    rows = alexander_matrix(pd)
-    n = len(rows)
-    if drop_column is None:
-        drop_column = 0
-    if not 0 <= drop_column < n:
-        raise ValueError("drop_column out of range")
-    if drop_row is None:
-        drop_row = n - 1
-    if not 0 <= drop_row < n:
-        raise ValueError("drop_row out of range")
-    minor = [
-        [p for j, p in enumerate(row) if j != drop_column]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
-    return det_laurent(minor).canonical()
+def alexander(pd):
+    """Canonical Alexander polynomial: the determinant of _region_minor,
+    Alexander's own matrix, with the unit removed; see invariant_tuple."""
+    return invariant_tuple(pd).alexander
 
 
 def _goeritz(pd, color=None):
@@ -221,10 +183,10 @@ def _goeritz(pd, color=None):
     return rows, mu
 
 
-def signature(pd, color=None):
-    _require_knot(pd)
-    rows, mu = _goeritz(pd, color)
-    return symmetric_signature(rows)[0] - mu
+def signature(pd):
+    """Signature of the smaller Goeritz form minus the Gordon-Litherland
+    correction; see invariant_tuple."""
+    return invariant_tuple(pd).signature
 
 
 def _goeritz_determinant(pd, color="white"):
@@ -243,10 +205,25 @@ def genus_lower_bound(pd):
     return invariant_tuple(pd).genus_lower_bound
 
 
+_last = (None, None)  # (diagram object, its InvariantTuple)
+
+
 def invariant_tuple(pd):
     """All four invariants from one Alexander polynomial and the smaller
-    Goeritz form, each consistency check made once."""
-    delta = alexander(pd)
+    Goeritz form, each consistency check made once.
+
+    The only place an invariant is computed: the other public functions each
+    read one field of this tuple.  The tuple of the last diagram object asked
+    is kept, and asking for that same object again (the tuple, then the
+    Seifert certificate's alexander) returns it; diagrams are immutable, so
+    one object has one tuple.  An equal but distinct diagram is computed
+    afresh, and a tuple that fails a check is never kept.
+    """
+    global _last
+    last_pd, last_tuple = _last  # one read: the pair is replaced whole
+    if last_pd is pd:
+        return last_tuple
+    delta = det_laurent(_region_minor(pd)).canonical()
     at_one = delta.evaluate(1)
     if at_one not in (1, -1):
         raise InconsistencyError(f"Alexander(1) = {at_one}, expected +-1")
@@ -264,4 +241,6 @@ def invariant_tuple(pd):
         raise InconsistencyError(f"odd knot signature {sig}")
     if delta.span % 2:
         raise InconsistencyError("Alexander span of a knot is odd")
-    return InvariantTuple(delta, det, sig, delta.span // 2)
+    tup = InvariantTuple(delta, det, sig, delta.span // 2)
+    _last = (pd, tup)
+    return tup

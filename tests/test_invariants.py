@@ -11,7 +11,7 @@ from knotlab.constructions import (
     torus_2n,
     whitehead_double,
 )
-from knotlab.diagram import ValidationError, checkerboard, mirror, parse_pd
+from knotlab.diagram import InconsistencyError, ValidationError, checkerboard, mirror, parse_pd
 from knotlab.invariants import (
     _goeritz,
     _goeritz_determinant,
@@ -23,7 +23,7 @@ from knotlab.invariants import (
     signature,
 )
 from knotlab.knotdb import bundled_table
-from knotlab.laurent import LaurentPoly
+from knotlab.laurent import LaurentPoly, symmetric_signature
 from knotlab.moves import reidemeister_perturb
 from knotlab.seifert import incompressibility_certificate
 
@@ -49,13 +49,13 @@ def test_alexander_matrix_shape():
         assert total == 0
 
 
-def test_fox_minor_independence():
+def test_fox_minor_independence(fox_minor):
     for pd in (TREFOIL, FIG8):
         base = alexander(pd)
         n = len(pd)
         for i in range(n):
             for j in range(n):
-                assert alexander(pd, drop_column=j, drop_row=i) == base, (i, j)
+                assert fox_minor(pd, j, i) == base, (i, j)
 
 
 def _route_agreement_corpus():
@@ -84,21 +84,14 @@ def _route_agreement_corpus():
         )
 
 
-def test_region_route_matches_fox_minor():
+def test_region_route_matches_fox_minor(fox_minor):
     for name, pd in _route_agreement_corpus():
-        assert alexander(pd) == alexander(pd, drop_column=len(pd) - 1), name
-
-
-def test_alexander_drop_bounds():
-    with pytest.raises(ValueError):
-        alexander(TREFOIL, drop_column=3)
-    with pytest.raises(ValueError):
-        alexander(TREFOIL, drop_row=-4)
+        assert alexander(pd) == fox_minor(pd, len(pd) - 1, len(pd) - 1), name
 
 
 @pytest.fixture
 def det_calls(monkeypatch):
-    """Counts the Fox-minor eliminations that invariants runs."""
+    """Counts the Alexander eliminations that invariants runs, from an empty memo."""
     calls = []
     real = invariants.det_laurent
 
@@ -107,6 +100,7 @@ def det_calls(monkeypatch):
         return real(minor)
 
     monkeypatch.setattr(invariants, "det_laurent", counted)
+    monkeypatch.setattr(invariants, "_last", (None, None))
     return calls
 
 
@@ -127,19 +121,6 @@ def test_equal_diagrams_do_not_share_alexander(det_calls):
     assert len(det_calls) == 2
 
 
-def test_non_default_minors_are_eliminated_afresh(det_calls):
-    pd = rational_knot([2, 2])
-    base = alexander(pd)
-    n = len(pd)
-    for j in range(1, n):
-        assert alexander(pd, drop_column=j) == base
-    for i in range(n):
-        for j in range(n):
-            assert alexander(pd, drop_column=j, drop_row=i) == base
-    assert alexander(pd) is base  # no other drop choice replaced the kept result
-    assert len(det_calls) == 1 + (n - 1) + n * n
-
-
 def test_alexander_symmetry_and_unit():
     for pd in (TREFOIL, FIG8, torus_2n(5), rational_knot([2, 4]), rational_knot([3, 1, 3])):
         delta = alexander(pd)
@@ -156,9 +137,15 @@ def test_signature_anchors():
     assert signature(KINK) == 0
 
 
+def _color_signature(pd, color):
+    """Signature from the Goeritz form of the chosen checkerboard color."""
+    rows, mu = _goeritz(pd, color)
+    return symmetric_signature(rows)[0] - mu
+
+
 def test_signature_color_independent():
     for pd in (TREFOIL, FIG8, torus_2n(5), rational_knot([3, 4]), KINK):
-        assert signature(pd, color="white") == signature(pd, color="black")
+        assert _color_signature(pd, "white") == _color_signature(pd, "black")
 
 
 def test_signature_of_large_forms():
@@ -168,15 +155,13 @@ def test_signature_of_large_forms():
     assert (tup.determinant, tup.signature) == (801, -800)
     cable = cable2(cable2(cable2(TREFOIL, 1), 1), 1)
     assert len(cable) == 353
-    assert signature(cable, "white") == signature(cable, "black")
+    assert _color_signature(cable, "white") == _color_signature(cable, "black")
 
 
 @pytest.mark.parametrize("color", ["red", "White", "", 0])
 def test_signature_rejects_unknown_colors(color):
     """A bad color is the caller's error, not an inconsistent diagram."""
     with pytest.raises(ValueError, match=f"color must be 'white', 'black' or None, not {color!r}"):
-        signature(TREFOIL, color)
-    with pytest.raises(ValueError, match="color must be"):
         _goeritz(TREFOIL, color)
 
 
@@ -197,7 +182,8 @@ SMALLER_COLOR_CASES = {
 
 @pytest.fixture
 def goeritz_forms(monkeypatch):
-    """The rows invariant_tuple hands to symmetric_signature, in call order."""
+    """The rows invariant_tuple hands to symmetric_signature, in call order,
+    from an empty memo."""
     forms = []
     real = invariants.symmetric_signature
 
@@ -206,6 +192,7 @@ def goeritz_forms(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(invariants, "symmetric_signature", recording_signature)
+    monkeypatch.setattr(invariants, "_last", (None, None))
     return forms
 
 
@@ -226,7 +213,7 @@ def test_smaller_color_agrees_with_both_colors(goeritz_forms, name):
     smaller = "black" if colors.count("black") < colors.count("white") else "white"
     assert goeritz_forms == [_goeritz(pd, smaller)[0]]  # white on a tie
     for color in ("white", "black"):
-        assert tup.signature == signature(pd, color)
+        assert tup.signature == _color_signature(pd, color)
         assert tup.determinant == _goeritz_determinant(pd, color)
     assert signature(pd) == tup.signature
 
@@ -239,6 +226,22 @@ def test_determinant_two_routes():
         assert det == _goeritz_determinant(pd, color="black")
     assert determinant(TREFOIL) == 3
     assert determinant(FIG8) == 5
+
+
+def test_every_public_invariant_is_cross_checked(monkeypatch):
+    """A Goeritz determinant that disagrees with |Alexander(-1)| is an error
+    whichever invariant is asked for."""
+    real = invariants.symmetric_signature
+
+    def wrong_determinant(rows):
+        sig, det = real(rows)
+        return sig, det + 1
+
+    monkeypatch.setattr(invariants, "symmetric_signature", wrong_determinant)
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    for public in (alexander, signature, determinant, genus_lower_bound):
+        with pytest.raises(InconsistencyError, match="determinant mismatch"):
+            public(TREFOIL)
 
 
 def test_genus_lower_bound():

@@ -203,7 +203,7 @@ def test_det_laurent_matches_bareiss_reference(residuals):
 
 
 def _fox_minor(pd):
-    """The Fox minor alexander takes: column 0 and the last row dropped."""
+    """A Fox minor of alexander_matrix: column 0 and the last row dropped."""
     return [row[1:] for row in alexander_matrix(pd)[:-1]]
 
 
