@@ -208,8 +208,6 @@ _MULTI_SECTOR_NOTE = (
     "the no-positive-solution check covers the single-sector case only"
 )
 
-_VERDICTS = ("persistently-laminar", "essential-only-unknown", "fails")
-
 
 class CertificateReport(
     namedtuple(

@@ -272,12 +272,18 @@ def _resolve(pd):
     # (slots 1 and 3) has a binary orientation choice, and every edge needs
     # one incoming and one outgoing end.  Node n stands for "slot 1 is the
     # incoming over-strand": a crossing joined to it at even parity makes
-    # that choice, at odd parity the other.
+    # that choice, at odd parity the other.  Each union gives an over-ended
+    # edge one head and one tail, so only two equal under slots can fail.
     orient = _ParityUnionFind(n + 1)
-    for u, v in occ.values():
+    partner = {}  # port pairing along the edges, for the face walk
+    for e, (u, v) in occ.items():
+        partner[u] = v
+        partner[v] = u
         (ci, s), (c2, s2) = (u, v) if u[1] % 2 else (v, u)  # an over end first, if any
         if s % 2 == 0:
-            continue  # two under ends; the head and tail pass reports them
+            if s == s2:
+                failures.append(f"edge {e} has two {'head' if s == 0 else 'tail'} ends")
+            continue
         if s2 % 2:
             # two over ends: equal slots need opposite choices
             joined = orient.union(ci, c2, s == s2)
@@ -288,39 +294,28 @@ def _resolve(pd):
             r.ok = False
             r.failures = (f"inconsistent strand orientation at crossing {ci}",)
             return r
+    if failures:
+        r.ok = False
+        r.failures = tuple(failures)
+        return r
     # One reference per parity class: the class joined to node n keeps its
     # parity; any other class is one strand lying entirely over, oriented so
     # that labels increase at its first crossing, and its other crossings
-    # follow by parity.
+    # follow by parity.  Now the successor map is a permutation.
     root, parity = orient.find(n)
     ref = {root: parity}
     over = []  # per crossing, the (incoming, outgoing) over slots
+    head = {}
+    succ = {}  # successor along the strand: the edge leaving the crossing this edge enters
     for ci, x in enumerate(pd.crossings):
         rc, pc = orient.find(ci)
         if rc not in ref:
             up = x.d == x.b + 1 if abs(x.b - x.d) == 1 else x.b > x.d
             ref[rc] = pc ^ (not up)
         over.append((1, 3) if pc == ref[rc] else (3, 1))
-
-    # In and out ends: slots 0 and 2, then the over slots.  Once every edge
-    # has one head and one tail, the successor map is a permutation.
-    head = {}
-    tail = {}
-    succ = {}  # successor along the strand: the edge leaving the crossing this edge enters
-    for ci, x in enumerate(pd.crossings):
-        for s_in, s_out in ((0, 2), over[ci]):
-            e_in, e_out = x[s_in], x[s_out]
-            if e_in in head:
-                failures.append(f"edge {e_in} has two head ends")
-            if e_out in tail:
-                failures.append(f"edge {e_out} has two tail ends")
-            head[e_in] = (ci, s_in)
-            tail[e_out] = (ci, s_out)
-            succ[e_in] = e_out
-    if failures:
-        r.ok = False
-        r.failures = tuple(failures)
-        return r
+        i, o = over[-1]
+        head[x[0]], head[x[i]] = (ci, 0), (ci, i)
+        succ[x[0]], succ[x[i]] = x[2], x[o]
     r.head = head
     r.over = over
     r.signs = [1 if o == (1, 3) else -1 for o in over]
@@ -348,10 +343,6 @@ def _resolve(pd):
     r.faces = ()
     r.face_of_corner = {}
     if not failures:
-        partner = {}
-        for u, v in occ.values():
-            partner[u] = v
-            partner[v] = u
         faces, r.face_of_corner, _ = _face_orbits(partner, range(n))
         r.faces = tuple(faces)
         if len(r.faces) != n + 2:

@@ -11,7 +11,7 @@ import pytest
 from knotlab.branched import build_bf, parse_model
 from knotlab.cli import main
 from knotlab.constructions import rational_knot
-from knotlab.diagram import serialize_pd
+from knotlab.diagram import parse_pd, serialize_pd, validate
 from knotlab.knotdb import bundled_table, serialize_table
 
 TREFOIL_PD = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n"
@@ -64,6 +64,20 @@ def test_validate_ok_and_failure(capsys, tmp_path):
     rc, out = run(capsys, ["validate", str(unparsable)])
     assert rc == 0
     assert "valid false" in out
+
+
+def test_validate_reports_two_under_ends(capsys, monkeypatch):
+    # edge 1 is the incoming under-strand at both crossings, edge 2 the
+    # outgoing one; the over edges 3 and 4 orient consistently
+    text = "X 1,3,2,4\nX 1,4,2,3\n"
+    failures = ("edge 1 has two head ends", "edge 2 has two tail ends")
+    assert validate(parse_pd(text)).failures == failures
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc, out = run(capsys, ["validate"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert "valid false" in lines
+    assert [line for line in lines if line.startswith("failure")] == [f"failure {f}" for f in failures]
 
 
 def test_stdin_default(capsys, monkeypatch):

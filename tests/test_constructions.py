@@ -30,6 +30,7 @@ from knotlab.diagram import (
 )
 from knotlab.invariants import alexander, determinant, invariant_tuple, signature
 from knotlab.knotdb import bundled_table
+from knotlab.laurent import LaurentPoly
 from knotlab.wiring import StrandGraph
 
 KINK = parse_pd("X 1,2,2,1")
@@ -150,6 +151,25 @@ def test_cable2_anchors():
             assert len(pd) == 4 * len(companion) + abs(j)
     with pytest.raises(ConstructionError):
         cable2(KINK, 2)
+
+
+def test_cable2_closed_forms():
+    # Delta of the (2, f) cable is Delta_K(t^2) * Delta_T(2,f)(t) up to units,
+    # and Litherland's formula at omega = -1 gives sigma_K(1) + sigma(T(2, f)),
+    # with sigma_K(1) = 0
+    cases = 0
+    for rec in bundled_table():
+        if len(rec.pd) > 7:
+            continue
+        coeffs = rec.invariants.alexander.coeffs
+        stretched = LaurentPoly([c for x in coeffs for c in (x, 0)][:-1])
+        for f in (1, -1, 3, -3, 5, -5, 7):
+            torus = LaurentPoly([(-1) ** k for k in range(abs(f))])  # (t^f + 1) / (t + 1)
+            got = invariant_tuple(cable2(rec.pd, f))
+            assert got.alexander == (stretched * torus).canonical(), (rec.name, f)
+            assert got.signature == signature(torus_2n(f)), (rec.name, f)
+            cases += 1
+    assert cases == 77
 
 
 def test_double_spec_validation():
