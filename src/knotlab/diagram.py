@@ -416,20 +416,67 @@ def faces(pd):
     return _valid(pd).faces
 
 
+def _component_of(rr):
+    """Edge label -> index of its component."""
+    return {e: k for k, cyc in enumerate(rr.components) for e in cyc}
+
+
+def _colors(pd, rr):
+    """The checkerboard read from the labels: (per face, whether it is white;
+    per crossing, whether its corner 0 is white).
+
+    Along a strand the face on its left changes color at every crossing the
+    strand passes, and the labels rise by one per passage, so corner k of
+    crossing c has the parity of a_c + k, a_c its incoming under label, plus
+    a phase bit of a_c's component.  The face holding corner (0, 0) is white.
+    A link's phases come from the crossings between components: where the
+    under strand lies in component A and the incoming over label x in B,
+    phase(B) = phase(A) ^ ((a_c + x + 1) & 1), a term that is 0 within one
+    component.  Every face's corners must share one parity, or it raises
+    InconsistencyError.
+    """
+    xs = pd.crossings
+    if len(rr.components) == 1:
+        par = [x[0] & 1 for x in xs]
+    else:
+        comp = _component_of(rr)
+        links = [[] for _ in rr.components]
+        for x, (i, _) in zip(xs, rr.over):
+            a, b = comp[x[0]], comp[x[i]]
+            bit = (x[0] + x[i] + 1) & 1
+            links[a].append((b, bit))
+            links[b].append((a, bit))
+        phase = {comp[xs[0][0]]: 0}
+        stack = list(phase)
+        while stack:
+            a = stack.pop()
+            for b, bit in links[a]:
+                if b not in phase:
+                    phase[b] = phase[a] ^ bit
+                    stack.append(b)
+        par = [(x[0] + phase[comp[x[0]]]) & 1 for x in xs]
+    white = par[0]
+    face_white = []
+    for face in rr.faces:
+        c, k = face[0]
+        p = par[c] ^ k & 1
+        for c, k in face:
+            if par[c] ^ k & 1 != p:
+                raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
+        face_white.append(p == white)
+    return face_white, [p == white for p in par]
+
+
 def checkerboard(pd):
     """Two-color the faces; returns a list of 'white'/'black' aligned with faces(pd).
 
-    The face containing corner 0 of crossing 0 is declared white.
+    The face containing corner 0 of crossing 0 is white.  The colors are read
+    from the label parities (see _colors): corner k of crossing c, its
+    incoming under label a_c, is white exactly when a_c + k, plus the phase
+    bit of a_c's component on a link, has the parity of corner (0, 0).
     """
-    rr = _valid(pd)
-    uf = _ParityUnionFind(len(rr.faces))
-    for u, v in rr.occ.values():
-        # the two faces on either side of an edge are the orbits of its two
-        # departure half-edges, and they must get opposite colors
-        if not uf.union(rr.face_of_corner[u][0], rr.face_of_corner[v][0], True):
-            raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
-    _, white = uf.find(rr.face_of_corner[(0, 0)][0])
-    return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
+    face_white, _ = _colors(pd, _valid(pd))
+    return ["white" if w else "black" for w in face_white]
 
 
 def strand_passages(pd):
@@ -447,10 +494,21 @@ def strand_passages(pd):
 
 
 def is_alternating(pd):
-    for seq in strand_passages(pd):
-        for i in range(len(seq)):
-            if seq[i][1] == seq[i - 1][1]:
-                return False
+    """Whether every strand passes over and under in turn.
+
+    Labels rise by one per passage, so a component alternates exactly when
+    the labels entering its crossings from below all share one parity and
+    those entering from above all share the other.
+    """
+    rr = _valid(pd)
+    comp = _component_of(rr) if len(rr.components) > 1 else {}  # a knot's one key is None
+    parity = {}  # component -> parity of its under-head labels
+    for x, (i, _) in zip(pd.crossings, rr.over):
+        u, o = x[0], x[i]
+        if parity.setdefault(comp.get(u), u & 1) != u & 1:
+            return False
+        if parity.setdefault(comp.get(o), ~o & 1) != ~o & 1:
+            return False
     return True
 
 

@@ -17,6 +17,11 @@ so invariant_tuple eliminates the form of the color with fewer faces, white
 on a tie: on a long twist region one color holds nearly every face and the
 other only a few.
 
+The checkerboard is read from the PD labels, not traced: along a strand the
+face on its left changes color at every crossing, and labels rise by one
+per passage, so corner k of crossing c is white exactly when a_c + k (a_c
+the incoming under label) has the parity it has at corner (0, 0).
+
 Sign conventions, fixed once and anchored by the positive trefoil:
 
 * eta(c) = -1 when the carrier color occupies the corner diagonal {0,2} of
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .diagram import InconsistencyError, checkerboard, _require_knot, _valid
+from .diagram import InconsistencyError, _colors, _require_knot, _valid
 from .laurent import LaurentPoly, ONE, T, det_int, det_laurent, symmetric_signature
 
 _MT = -T
@@ -104,29 +109,40 @@ def alexander_matrix(pd):
 _CORNER_LABEL = (T, _MT, ONE, _MINUS_ONE)
 
 
+def _deleted_faces(pd, rr):
+    """The two faces beside the edge whose faces hold the most corners, the
+    first such edge in crossing and slot order.
+
+    A face's walk leaves each of its corners (c, k) by the edge in slot k, so
+    adding the face's size to that edge's label gives every edge the sizes
+    of its two faces, with no lookup per edge.
+    """
+    xs = pd.crossings
+    weight = [0] * (2 * len(xs) + 1)
+    for face in rr.faces:
+        m = len(face)
+        for c, k in face:
+            weight[xs[c][k]] += m
+    best = max(weight)
+    u, v = next(ends for e, ends in rr.occ.items() if weight[e] == best)
+    return rr.face_of_corner[u][0], rr.face_of_corner[v][0]
+
+
 def _region_minor(pd):
     """Alexander's region matrix with the columns of two adjacent faces deleted.
 
     One row per crossing, one column per face; corners 0, 1, 2 and 3 add t,
     -t, 1 and -1 to the column of the face they lie in, so two corners of one
-    crossing in the same face add up.  The deleted faces are the two beside
-    the edge whose faces hold the most corners, the first such edge in
-    crossing and slot order, so the densest columns go.  The square minor
-    left has determinant Delta up to a unit.
+    crossing in the same face add up.  The deleted faces are those of
+    _deleted_faces, so the densest columns go.  The square minor left has
+    determinant Delta up to a unit.
     """
     rr = _require_knot(pd)
-    faces = rr.faces
-    face_of = rr.face_of_corner
-    best = -1
-    for u, v in rr.occ.values():
-        fu, fv = face_of[u][0], face_of[v][0]
-        size = len(faces[fu]) + len(faces[fv])
-        if size > best:
-            best, gone = size, (fu, fv)
+    gone = _deleted_faces(pd, rr)
     zero = LaurentPoly()
     rows = [[zero] * len(pd) for _ in pd.crossings]
     j = 0
-    for f, face in enumerate(faces):
+    for f, face in enumerate(rr.faces):
         if f in gone:
             continue
         for ci, k in face:
@@ -151,29 +167,33 @@ def _goeritz(pd, color=None):
     reads.  A crossing between carrier faces i != j adds eta to entries
     (i, i) and (j, j) and -eta to (i, j) and (j, i).  Raises ValueError for
     any other color.
+
+    The colors come from the label parities (diagram._colors), with no face
+    union-find: a crossing's carrier diagonal is {0, 2} when its corner 0
+    has the carrier color and {1, 3} otherwise, so only those two corners'
+    faces are looked up.
     """
     if color not in (None, "white", "black"):
         raise ValueError(f"color must be 'white', 'black' or None, not {color!r}")
     rr = _valid(pd)
-    colors = checkerboard(pd)
+    face_white, corner0_white = _colors(pd, rr)
     if color is None:
-        color = "black" if 2 * colors.count("black") < len(colors) else "white"
-    carrier = [i for i, c in enumerate(colors) if c == color]
+        white = 2 * face_white.count(False) >= len(face_white)
+    else:
+        white = color == "white"
+    carrier = [f for f, w in enumerate(face_white) if w == white]
     pos = {f: k - 1 for k, f in enumerate(carrier)}  # the anchor face maps to -1
     rows = [{} for _ in carrier[1:]]
     mu = 0
     face_of = rr.face_of_corner
-    for ci in range(len(pd)):
-        corners = [k for k in range(4) if colors[face_of[(ci, k)][0]] == color]
-        if corners not in ([0, 2], [1, 3]):
-            raise InconsistencyError(f"crossing {ci}: carrier corners not diagonal")
-        d02 = corners == [0, 2]
+    for ci, (w0, sign) in enumerate(zip(corner0_white, rr.signs)):
+        d02 = w0 == white  # the carrier holds corners 0 and 2, else 1 and 3
+        k = 0 if d02 else 1
         eta = -1 if d02 else 1
-        positive = rr.signs[ci] > 0
-        if (d02 and not positive) or (not d02 and positive):
-            mu += eta
-        fi = pos[face_of[(ci, corners[0])][0]]
-        fj = pos[face_of[(ci, corners[1])][0]]
+        if d02 != (sign > 0):
+            mu += eta  # type II
+        fi = pos[face_of[(ci, k)][0]]
+        fj = pos[face_of[(ci, k + 2)][0]]
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:

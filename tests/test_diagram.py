@@ -8,9 +8,11 @@ import pytest
 from knotlab import constructions, diagram
 from knotlab.diagram import (
     MAX_CROSSINGS,
+    InconsistencyError,
     ParseError,
     PlanarDiagram,
     ValidationError,
+    _ParityUnionFind,
     _valid,
     checkerboard,
     component_count,
@@ -24,7 +26,7 @@ from knotlab.diagram import (
     validate,
     writhe,
 )
-from knotlab.invariants import alexander_matrix, invariant_tuple
+from knotlab.invariants import _goeritz, alexander_matrix, invariant_tuple
 from knotlab.knotdb import bundled_table
 from knotlab.moves import _apply_r1_add, reidemeister_perturb
 from knotlab.seifert import seifert_circles
@@ -36,6 +38,10 @@ HOPF = "X 1,4,2,3\nX 3,2,4,1"
 KINK_CHAIN = "X 1,2,2,3\nX 3,4,4,5\nX 5,6,6,1"
 # trefoil with the first crossing switched: a one-crossing-changed unknot
 SWITCHED = "X 4,2,5,1\nX 3,6,4,1\nX 5,2,6,3"
+# the 2-component unlink with one circle (edges 3, 4) over at both crossings
+OVER_ONLY_UNLINK = "X 1,3,2,4\nX 2,3,1,4"
+# a chain of three rings: edges 1-2 clasp 3-6 at crossings 0 and 1, 3-6 clasp 7-8 at 2 and 3
+THREE_CHAIN = "X 1,3,2,4\nX 4,2,5,1\nX 7,5,8,6\nX 6,8,3,7"
 
 
 def test_parse_serialize_round_trip():
@@ -265,6 +271,122 @@ def test_alternating():
     assert is_alternating(parse_pd(TREFOIL))
     assert is_alternating(parse_pd(KINK))  # a lone kink alternates along the strand
     assert not is_alternating(parse_pd(SWITCHED))
+
+
+def _union_find_checkerboard(pd):
+    """The reference coloring: a parity union-find over the faces that puts
+    the two faces beside every edge in opposite colors."""
+    rr = _valid(pd)
+    uf = _ParityUnionFind(len(rr.faces))
+    for u, v in rr.occ.values():
+        assert uf.union(rr.face_of_corner[u][0], rr.face_of_corner[v][0], True)
+    _, white = uf.find(rr.face_of_corner[(0, 0)][0])
+    return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
+
+
+def _reference_goeritz(pd, color):
+    """The Goeritz rows and correction term read corner by corner from the
+    union-find coloring; color None takes the color with fewer faces."""
+    rr = _valid(pd)
+    colors = _union_find_checkerboard(pd)
+    if color is None:
+        color = "black" if 2 * colors.count("black") < len(colors) else "white"
+    carrier = [f for f, c in enumerate(colors) if c == color]
+    pos = {f: k - 1 for k, f in enumerate(carrier)}
+    rows = [{} for _ in carrier[1:]]
+    mu = 0
+    for ci in range(len(pd)):
+        corners = [k for k in range(4) if colors[rr.face_of_corner[(ci, k)][0]] == color]
+        assert corners in ([0, 2], [1, 3])
+        eta = -1 if corners == [0, 2] else 1
+        if (corners == [0, 2]) == (rr.signs[ci] < 0):  # type II
+            mu += eta
+        fi, fj = (pos[rr.face_of_corner[(ci, k)][0]] for k in corners)
+        if fi != fj:
+            for a, b in ((fi, fj), (fj, fi)):
+                if a >= 0:
+                    rows[a][a] = rows[a].get(a, 0) + eta
+                    if b >= 0:
+                        rows[a][b] = rows[a].get(b, 0) - eta
+    return rows, mu
+
+
+def _strand_passage_alternating(pd):
+    """The reference rule: no two passages in a row along a strand are both
+    over or both under."""
+    return all(
+        seq[i][1] != seq[i - 1][1] for seq in diagram.strand_passages(pd) for i in range(len(seq))
+    )
+
+
+def _coloring_corpus():
+    """Perturbed knots, perturbed Hopf links, the over-only unlink and a
+    3-component chain, plain and perturbed."""
+    for rec in bundled_table():
+        for seed in range(3):
+            yield f"{rec.name} seed {seed}", reidemeister_perturb(rec.pd, moves=8, seed=seed)
+    hopf, chain = parse_pd(HOPF), parse_pd(THREE_CHAIN)
+    for name, pd in (("hopf", hopf), ("mirror hopf", mirror(hopf)), ("chain", chain)):
+        for seed in range(20):
+            yield f"{name} seed {seed}", reidemeister_perturb(pd, moves=4 + seed % 9, seed=seed)
+    for text in (TREFOIL, KINK, KINK_CHAIN, HOPF, OVER_ONLY_UNLINK, THREE_CHAIN):
+        yield repr(text), parse_pd(text)
+
+
+def test_checkerboard_and_goeritz_match_the_union_find_coloring():
+    counts = set()
+    for name, pd in _coloring_corpus():
+        counts.add(component_count(pd))
+        assert checkerboard(pd) == _union_find_checkerboard(pd), name
+        for color in (None, "white", "black"):
+            assert _goeritz(pd, color) == _reference_goeritz(pd, color), (name, color)
+    assert counts == {1, 2, 3}
+
+
+def test_alternating_matches_the_strand_passages():
+    seen = set()
+    for name, pd in _coloring_corpus():
+        alternating = is_alternating(pd)
+        seen.add((component_count(pd), alternating))
+        assert alternating == _strand_passage_alternating(pd), name
+    assert {(1, True), (1, False), (2, True), (2, False), (3, True), (3, False)} <= seen
+    assert not is_alternating(parse_pd(OVER_ONLY_UNLINK))  # one circle is only over
+    assert is_alternating(parse_pd(THREE_CHAIN))
+
+
+def test_coloring_runs_no_union_find(monkeypatch):
+    """Once a diagram is resolved, its colors and Goeritz forms are read from
+    the labels alone."""
+    pd = reidemeister_perturb(parse_pd(THREE_CHAIN), moves=6, seed=1)
+    _valid(pd)
+    monkeypatch.setattr(diagram, "_ParityUnionFind", None)
+    checkerboard(pd)
+    is_alternating(pd)
+    for color in (None, "white", "black"):
+        _goeritz(pd, color)
+
+
+def test_face_color_cross_check_is_live(monkeypatch):
+    """A face list that mixes corner parities is refused, not colored."""
+    pd = parse_pd(TREFOIL)
+    real = _valid(pd)
+    bad = diagram._Resolved()
+    for field in diagram._Resolved.__slots__:
+        setattr(bad, field, getattr(real, field))
+    # corners 0 and 1 of crossing 0 lie in faces of opposite colors; swap them
+    f0, f1 = real.face_of_corner[(0, 0)][0], real.face_of_corner[(0, 1)][0]
+    assert f0 != f1
+    swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
+    bad.faces = tuple(
+        tuple(swap.get(c, c) for c in face) if f in (f0, f1) else face
+        for f, face in enumerate(real.faces)
+    )
+    monkeypatch.setattr(diagram, "_res", lambda _: bad)
+    with pytest.raises(InconsistencyError, match="^faces of a 4-valent diagram must be 2-colorable$"):
+        checkerboard(pd)
+    for color in (None, "white", "black"):
+        with pytest.raises(InconsistencyError, match="2-colorable"):
+            _goeritz(pd, color)
 
 
 def test_gauss_code_structure():

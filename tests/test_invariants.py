@@ -11,8 +11,16 @@ from knotlab.constructions import (
     torus_2n,
     whitehead_double,
 )
-from knotlab.diagram import InconsistencyError, ValidationError, checkerboard, mirror, parse_pd
+from knotlab.diagram import (
+    InconsistencyError,
+    ValidationError,
+    _valid,
+    checkerboard,
+    mirror,
+    parse_pd,
+)
 from knotlab.invariants import (
+    _deleted_faces,
     _goeritz,
     _goeritz_determinant,
     alexander,
@@ -87,6 +95,21 @@ def _route_agreement_corpus():
 def test_region_route_matches_fox_minor(fox_minor):
     for name, pd in _route_agreement_corpus():
         assert alexander(pd) == fox_minor(pd, len(pd) - 1, len(pd) - 1), name
+
+
+def test_deleted_faces_match_a_per_edge_scan():
+    """Summing face sizes onto the labels picks the pair a scan of every edge
+    picks: the first edge in crossing and slot order whose two faces hold the
+    most corners."""
+    for name, pd in _route_agreement_corpus():
+        rr = _valid(pd)
+        best = -1
+        for u, v in rr.occ.values():
+            pair = (rr.face_of_corner[u][0], rr.face_of_corner[v][0])
+            size = len(rr.faces[pair[0]]) + len(rr.faces[pair[1]])
+            if size > best:
+                best, want = size, pair
+        assert _deleted_faces(pd, rr) == want, name
 
 
 @pytest.fixture
