@@ -137,6 +137,10 @@ def branch_equations(model):
 # sectors peak below 500 inequalities and 5-sector 4-curve models near 24k;
 # 7-sector 7-curve models run for minutes past this bound.
 MAX_INEQUALITIES = 50_000
+# The starting system has two inequalities per curve and one per sector, each
+# of sectors + 1 coefficients, so it grows as the square of the sector count;
+# a larger one is refused before it is built.
+MAX_COEFFICIENTS = 1_000_000
 
 
 def _feasible_positive(rows, n):
@@ -179,9 +183,19 @@ def _feasible_positive(rows, n):
 
 
 def carries_closed_surface(model):
-    """True iff the branch equations admit a strictly positive solution."""
+    """True iff the branch equations admit a strictly positive solution.
+
+    Raises ModelError when the starting system would exceed MAX_COEFFICIENTS.
+    """
+    n, m = len(model.sectors), len(model.branch_curves)
+    size = (2 * m + n) * (n + 1)
+    if size > MAX_COEFFICIENTS:
+        raise ModelError(
+            f"branch equations too large: {n} sectors and {m} curves "
+            f"need {size} coefficients (limit {MAX_COEFFICIENTS})"
+        )
     rows = branch_equations(model)
-    return _feasible_positive(rows, len(model.sectors))
+    return _feasible_positive(rows, n)
 
 
 def transversely_orientable(model):

@@ -128,8 +128,6 @@ def _parse_cf(text):
     from . import constructions
 
     parts = text.replace(",", " ").split()
-    if not parts:
-        raise constructions.ConstructionError("empty continued fraction")
     try:
         return [int(p) for p in parts]
     except ValueError as e:

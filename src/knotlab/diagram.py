@@ -231,7 +231,6 @@ class _Resolved:
         "ok",
         "failures",
         "occ",
-        "head",
         "components",
         "over",
         "signs",
@@ -305,7 +304,6 @@ def _resolve(pd):
     root, parity = orient.find(n)
     ref = {root: parity}
     over = []  # per crossing, the (incoming, outgoing) over slots
-    head = {}
     succ = {}  # successor along the strand: the edge leaving the crossing this edge enters
     for ci, x in enumerate(pd.crossings):
         rc, pc = orient.find(ci)
@@ -314,9 +312,7 @@ def _resolve(pd):
             ref[rc] = pc ^ (not up)
         over.append((1, 3) if pc == ref[rc] else (3, 1))
         i, o = over[-1]
-        head[x[0]], head[x[i]] = (ci, 0), (ci, i)
         succ[x[0]], succ[x[i]] = x[2], x[o]
-    r.head = head
     r.over = over
     r.signs = [1 if o == (1, 3) else -1 for o in over]
 
@@ -481,16 +477,13 @@ def checkerboard(pd):
 
 def strand_passages(pd):
     """Per component, the cyclic sequence of (crossing, 'O'|'U') passages in
-    strand order."""
+    strand order.  Each edge ends where it enters a crossing: at slot 0 from
+    below, at the incoming over slot from above."""
     rr = _valid(pd)
-    out = []
-    for cyc in rr.components:
-        seq = []
-        for e in cyc:
-            ci, s = rr.head[e]
-            seq.append((ci, "U" if s == 0 else "O"))
-        out.append(seq)
-    return out
+    head = {}
+    for ci, (x, (i, _)) in enumerate(zip(pd.crossings, rr.over)):
+        head[x[0]], head[x[i]] = (ci, "U"), (ci, "O")
+    return [[head[e] for e in cyc] for cyc in rr.components]
 
 
 def is_alternating(pd):

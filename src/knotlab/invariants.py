@@ -238,6 +238,11 @@ def invariant_tuple(pd):
     Seifert certificate's alexander) returns it; diagrams are immutable, so
     one object has one tuple.  An equal but distinct diagram is computed
     afresh, and a tuple that fails a check is never kept.
+
+    The checks: Δ(1) = ±1, Δ palindromic, |Δ(-1)| equal to the Goeritz
+    determinant, and an even signature.  The span needs no check of its own:
+    a palindrome of odd span pairs every coefficient with a distinct one, so
+    its Δ(1) is even and the first check has already refused it.
     """
     global _last
     last_pd, last_tuple = _last  # one read: the pair is replaced whole
@@ -259,8 +264,6 @@ def invariant_tuple(pd):
     sig -= mu
     if sig % 2:
         raise InconsistencyError(f"odd knot signature {sig}")
-    if delta.span % 2:
-        raise InconsistencyError("Alexander span of a knot is odd")
     tup = InvariantTuple(delta, det, sig, delta.span // 2)
     _last = (pd, tup)
     return tup

@@ -143,6 +143,8 @@ class StrandGraph:
 
         A wire's label is kept at the port the strand enters by, and each
         crossing's slots start at the under port its node is entered by.
+        Once every port is wired, under ports 0 and 2 of a node lie on one
+        traced strand, so the trace enters every node at an under port.
         """
         nodes = sorted(self.nodes)
         conn = self.conn
@@ -164,9 +166,7 @@ class StrandGraph:
                     port = conn[(n, (q + 2) % 4)]
         crossings = []
         for nid in nodes:
-            u = entered.get(nid)
-            if u is None:
-                raise WiringError(f"node {nid}: strand trace inconsistent")
+            u = entered[nid]
             ports = [(nid, (u + k) % 4) for k in range(4)]
             crossings.append(Crossing(*(label.get(q) or label[conn[q]] for q in ports)))
         return PlanarDiagram(tuple(crossings))

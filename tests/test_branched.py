@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -260,6 +262,32 @@ def test_elimination_bound_is_a_domain_error(capsys, tmp_path):
     assert main(["bf", "--model", str(path)]) == 1
     out = capsys.readouterr().out
     assert "status error" in out and "too large" in out
+
+
+def test_oversized_model_is_refused_before_it_is_built(capsys, tmp_path):
+    from knotlab.cli import main
+
+    # 5,000 sectors start 5,000 inequalities of 5,001 coefficients each
+    text = "".join(f"sector S{i} -1\n" for i in range(5000))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ModelError) as err:
+            carries_closed_surface(parse_model(text))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "branch equations too large: 5000 sectors and 0 curves "
+        f"need 25005000 coefficients (limit {branched.MAX_COEFFICIENTS})"
+    )
+    assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
+    path = tmp_path / "wide.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["bf", "--model", str(path), "--certified"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"(limit {branched.MAX_COEFFICIENTS})\nstatus error\n")
 
 
 def _fraction_feasible_positive(rows, n):

@@ -287,6 +287,13 @@ def test_construction_size_cap_exits_1(capsys, trefoil_file):
         assert out.endswith("exceeds the limit of 10000\nstatus error\n"), argv
 
 
+def test_empty_continued_fraction_exits_1(capsys):
+    for cf in (",", " "):
+        rc, out = run(capsys, ["construct", "rational", "--cf", cf])
+        assert rc == 1, cf
+        assert out == "command construct\nerror empty continued fraction\nstatus error\n", cf
+
+
 def test_pd_text_size_cap_exits_1(capsys, monkeypatch):
     text = serialize_pd(rational_knot([2, 9998])) + "X 1,2,3,4\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -354,6 +354,18 @@ def test_alternating_matches_the_strand_passages():
     assert is_alternating(parse_pd(THREE_CHAIN))
 
 
+def test_link_gauss_codes_are_pinned():
+    # the coloring corpus holds links, including one whose second component
+    # passes only over, so every edge head is read from an over slot there
+    h = hashlib.sha256()
+    count = 0
+    for _, pd in _coloring_corpus():
+        h.update(repr((gauss_code(pd), diagram.strand_passages(pd))).encode())
+        count += 1
+    assert count == 111
+    assert h.hexdigest() == "af67ba90e43a0e357a775e1296213c9e8e04eee66dd1da436a970a08ab666adf"
+
+
 def test_coloring_runs_no_union_find(monkeypatch):
     """Once a diagram is resolved, its colors and Goeritz forms are read from
     the labels alone."""
