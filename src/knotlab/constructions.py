@@ -1,8 +1,9 @@
 """Diagram generators: torus knots, rational knots, pretzels, cables, doubles.
 
 Every construction is a Conway tangle expression on a StrandGraph.  A tangle
-is the tuple (nw, ne, sw, se) of its four free ports, by compass corner; a
-one-crossing tangle is one node.  The horizontal sum ``_join`` wires the left
+is the tuple (nw, ne, sw, se) of its four free ports, by compass corner, each
+the int 4 * node + slot of ``knotlab.wiring``; a one-crossing tangle is one
+node.  The horizontal sum ``_join`` wires the left
 tangle's ne, se to the right one's nw, sw; the vertical sum ``_stack`` wires
 the upper tangle's sw, se to the lower one's nw, ne.  A twist region is a
 chain of one-crossing tangles under one sum.  ``_close`` is the one closure:
@@ -118,8 +119,8 @@ def _chain(g, count, positive, add):
     sw, se, ne, nw = (3, 0, 1, 2) if positive else (0, 1, 2, 3)
     t = None
     for _ in range(count):
-        n = g.add_node()
-        one = (n, nw), (n, ne), (n, sw), (n, se)
+        n = 4 * g.add_node()
+        one = n + nw, n + ne, n + sw, n + se
         t = add(g, t, one) if t else one
     return t
 
@@ -199,16 +200,9 @@ def pretzel(p, q, r):
 # Satellite engine: 2-parallel of a companion diagram, cut open for a tangle
 
 
-_TILE_PORT = {
-    (0, 0): ("ws", 0),
-    (0, 1): ("es", 0),
-    (1, 0): ("es", 1),
-    (1, 1): ("en", 1),
-    (2, 0): ("en", 2),
-    (2, 1): ("wn", 2),
-    (3, 0): ("wn", 3),
-    (3, 1): ("ws", 3),
-}
+# The tile node that carries companion slot s on sub-lane k, at index 2s + k;
+# it carries it at its own slot s.
+_TILE_PORT = ("ws", "es", "es", "en", "en", "wn", "wn", "ws")
 
 
 def _doubled_with_gap(pd):
@@ -227,23 +221,23 @@ def _doubled_with_gap(pd):
     g = StrandGraph()
     tiles = []
     for _ in range(len(pd)):
-        nodes = {name: g.add_node() for name in ("ws", "wn", "es", "en")}
-        g.connect((nodes["ws"], 2), (nodes["wn"], 0))
-        g.connect((nodes["es"], 2), (nodes["en"], 0))
-        g.connect((nodes["es"], 3), (nodes["ws"], 1))
-        g.connect((nodes["en"], 3), (nodes["wn"], 1))
-        tiles.append(nodes)
+        ws, wn, es, en = (4 * g.add_node() for _ in range(4))
+        g.connect(ws + 2, wn)
+        g.connect(es + 2, en)
+        g.connect(es + 3, ws + 1)
+        g.connect(en + 3, wn + 1)
+        tiles.append({"ws": ws, "wn": wn, "es": es, "en": en})
 
-    def tport(ci, slot, sub):
-        name, port = _TILE_PORT[(slot, sub)]
-        return (tiles[ci][name], port)
+    def tport(p, sub):
+        """The tile port of companion port p on sub-lane sub."""
+        return tiles[p >> 2][_TILE_PORT[2 * (p & 3) + sub]] + (p & 3)
 
     occ = _occurrences(pd)
-    (c1, s1), (c2, s2) = occ.pop(1)
-    for (a, sa), (b, sb) in occ.values():
-        g.connect(tport(a, sa, 0), tport(b, sb, 1))
-        g.connect(tport(a, sa, 1), tport(b, sb, 0))
-    return g, (tport(c2, s2, 0), tport(c1, s1, 1), tport(c2, s2, 1), tport(c1, s1, 0))
+    p1, p2 = occ.pop(1)
+    for a, b in occ.values():
+        g.connect(tport(a, 0), tport(b, 1))
+        g.connect(tport(a, 1), tport(b, 0))
+    return g, (tport(p2, 0), tport(p1, 1), tport(p2, 1), tport(p1, 0))
 
 
 def cable2(pd, f):

@@ -13,12 +13,20 @@ by a quarter turn gives the over direction).  Under this convention
 The planar embedding is the rotation system implied by the slot order;
 validation checks it is genuinely planar by counting faces (Euler: a
 connected 4-valent diagram with C crossings must have C + 2 faces).
+
+Inside the library a port, slot s of crossing c, and a corner, corner k of
+crossing c, are the one int 4c + s (or 4c + k).  So p >> 2 is the crossing,
+p & 3 the slot, p & 1 the level (odd slots carry the over-strand) and p ^ 2
+the slot across.  The map is increasing in (crossing, slot) order, so sorting
+ints sorts ports as the pairs would sort.  The public faces(pd) still gives
+(crossing, k) pairs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 
 
 class KnotlabError(Exception):
@@ -127,11 +135,13 @@ def serialize_pd(pd):
 
 
 def _occurrences(pd):
-    """Edge label -> [(crossing, slot), ...], in crossing then slot order."""
+    """Edge label -> [port, ...], ports 4 * crossing + slot in increasing order."""
     occ = {}
-    for ci, x in enumerate(pd.crossings):
-        for s, lab in enumerate(x.slots()):
-            occ.setdefault(lab, []).append((ci, s))
+    for p, lab in enumerate(chain.from_iterable(pd.crossings)):
+        if lab in occ:
+            occ[lab].append(p)
+        else:
+            occ[lab] = [p]
     return occ
 
 
@@ -157,22 +167,21 @@ def _orbits(step, starts):
 
 
 def _face_orbits(partner, nodes):
-    """Faces of a rotation system given its port pairing (crossing, slot) <->
-    (crossing, slot): follow the edge to its other end and turn to the
-    clockwise-adjacent slot.
+    """Faces of a rotation system given its port pairing: follow the edge to
+    its other end e and turn to the clockwise-adjacent slot of e's node,
+    (e & ~3) | ((e - 1) & 3).
 
     Returns (faces, index, same): the faces as tuples of ports, each entered
     at its first port in node then slot order; index, port -> (face, position
     in it); and the number of wires with the same face on both sides.
-    Raises KeyError on a port the pairing leaves unwired.
+    Raises KeyError on a port a dict pairing leaves unwired.
     """
     faces = []
     index = {}
     same = 0
     f = 0
     for c in nodes:
-        for s in range(4):
-            h = (c, s)
+        for h in range(4 * c, 4 * c + 4):
             if h in index:
                 continue
             face = []
@@ -185,7 +194,7 @@ def _face_orbits(partner, nodes):
                 # a wire is counted at the second of its two ports to be walked
                 if e in index and index[e][0] == f:
                     same += 1
-                h = (e[0], (e[1] - 1) % 4)
+                h = (e & ~3) | ((e - 1) & 3)
             faces.append(tuple(face))
             f += 1
     return faces, index, same
@@ -235,7 +244,7 @@ class _Resolved:
         "over",
         "signs",
         "faces",
-        "face_of_corner",  # corner -> (face, position in it)
+        "face_of_corner",  # corner 4 * crossing + k -> (face, position in it)
     )
 
 
@@ -274,11 +283,13 @@ def _resolve(pd):
     # that choice, at odd parity the other.  Each union gives an over-ended
     # edge one head and one tail, so only two equal under slots can fail.
     orient = _ParityUnionFind(n + 1)
-    partner = {}  # port pairing along the edges, for the face walk
+    partner = [0] * (4 * n)  # port pairing along the edges, for the face walk
     for e, (u, v) in occ.items():
         partner[u] = v
         partner[v] = u
-        (ci, s), (c2, s2) = (u, v) if u[1] % 2 else (v, u)  # an over end first, if any
+        if not u & 1:
+            u, v = v, u  # an over end first, if any
+        ci, s, c2, s2 = u >> 2, u & 3, v >> 2, v & 3
         if s % 2 == 0:
             if s == s2:
                 failures.append(f"edge {e} has two {'head' if s == 0 else 'tail'} ends")
@@ -331,8 +342,8 @@ def _resolve(pd):
     # crossing, so only a link can be split
     if len(components) > 1:
         uf = _ParityUnionFind(n)
-        for (c1, _), (c2, _) in occ.values():
-            uf.union(c1, c2)
+        for u, v in occ.values():
+            uf.union(u >> 2, v >> 2)
         if not uf.connected():
             failures.append("split diagram: underlying graph is disconnected")
 
@@ -408,8 +419,9 @@ def mirror(pd):
 
 def faces(pd):
     """Faces as tuples of corners (crossing, k); corner k sits counterclockwise
-    between slot k and slot k+1.  The 4C corners are partitioned."""
-    return _valid(pd).faces
+    between slot k and slot k+1.  The 4C corners are partitioned.  These are
+    the resolver's int corners 4 * crossing + k, read back as pairs."""
+    return tuple(tuple(divmod(h, 4) for h in face) for face in _valid(pd).faces)
 
 
 def _component_of(rr):
@@ -454,10 +466,10 @@ def _colors(pd, rr):
     white = par[0]
     face_white = []
     for face in rr.faces:
-        c, k = face[0]
-        p = par[c] ^ k & 1
-        for c, k in face:
-            if par[c] ^ k & 1 != p:
+        h = face[0]
+        p = par[h >> 2] ^ h & 1
+        for h in face:
+            if par[h >> 2] ^ h & 1 != p:
                 raise InconsistencyError("faces of a 4-valent diagram must be 2-colorable")
         face_white.append(p == white)
     return face_white, [p == white for p in par]

@@ -37,6 +37,7 @@ The test suite holds both colors to the same signature and |det|.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .diagram import InconsistencyError, _colors, _require_knot, _valid
 from .laurent import LaurentPoly, ONE, T, det_int, det_laurent, symmetric_signature
@@ -113,16 +114,17 @@ def _deleted_faces(pd, rr):
     """The two faces beside the edge whose faces hold the most corners, the
     first such edge in crossing and slot order.
 
-    A face's walk leaves each of its corners (c, k) by the edge in slot k, so
-    adding the face's size to that edge's label gives every edge the sizes
-    of its two faces, with no lookup per edge.
+    A face's walk leaves each of its corners 4c + k by the edge in slot k of
+    crossing c, the label at that same index of the crossings read in a row,
+    so adding the face's size to that label gives every edge the sizes of its
+    two faces, with no lookup per edge.
     """
-    xs = pd.crossings
-    weight = [0] * (2 * len(xs) + 1)
+    labels = list(chain.from_iterable(pd.crossings))
+    weight = [0] * (len(labels) // 2 + 1)
     for face in rr.faces:
         m = len(face)
-        for c, k in face:
-            weight[xs[c][k]] += m
+        for h in face:
+            weight[labels[h]] += m
     best = max(weight)
     u, v = next(ends for e, ends in rr.occ.items() if weight[e] == best)
     return rr.face_of_corner[u][0], rr.face_of_corner[v][0]
@@ -145,9 +147,10 @@ def _region_minor(pd):
     for f, face in enumerate(rr.faces):
         if f in gone:
             continue
-        for ci, k in face:
-            row = rows[ci]
-            row[j] = row[j] + _CORNER_LABEL[k] if row[j].coeffs else _CORNER_LABEL[k]
+        for h in face:
+            row = rows[h >> 2]
+            label = _CORNER_LABEL[h & 3]
+            row[j] = row[j] + label if row[j].coeffs else label
         j += 1
     return rows
 
@@ -192,8 +195,8 @@ def _goeritz(pd, color=None):
         eta = -1 if d02 else 1
         if d02 != (sign > 0):
             mu += eta  # type II
-        fi = pos[face_of[(ci, k)][0]]
-        fj = pos[face_of[(ci, k + 2)][0]]
+        fi = pos[face_of[4 * ci + k][0]]
+        fj = pos[face_of[4 * ci + k + 2][0]]
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:
@@ -240,7 +243,9 @@ def invariant_tuple(pd):
     afresh, and a tuple that fails a check is never kept.
 
     The checks: Δ(1) = ±1, Δ palindromic, |Δ(-1)| equal to the Goeritz
-    determinant, and an even signature.  The span needs no check of its own:
+    determinant, an even signature, and σ ≡ det - 1 (mod 4), so σ is
+    divisible by 4 exactly when det ≡ 1 (mod 4) (Murasugi, Trans. AMS 117,
+    1965).  The span needs no check of its own:
     a palindrome of odd span pairs every coefficient with a distinct one, so
     its Δ(1) is even and the first check has already refused it.
     """
@@ -264,6 +269,10 @@ def invariant_tuple(pd):
     sig -= mu
     if sig % 2:
         raise InconsistencyError(f"odd knot signature {sig}")
+    if (sig - det + 1) % 4:
+        raise InconsistencyError(
+            f"signature {sig} and determinant {det} break sigma = det - 1 (mod 4)"
+        )
     tup = InvariantTuple(delta, det, sig, delta.span // 2)
     _last = (pd, tup)
     return tup

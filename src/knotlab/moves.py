@@ -16,8 +16,20 @@ sides.  r1+ and r2+ sites, the many, are counted and only the drawn one is
 built; it is the site ``move_candidates`` lists at the drawn index, so the
 listed and the drawn sites are the same.
 
-Ports are PD slots (``knotlab.wiring``), so a port's level is its parity:
-odd ports carry the over-strand.  Conventions used by the rewirings:
+Ports are the ints 4 * node + slot of ``knotlab.wiring``, so a port's level
+is its parity (odd ports carry the over-strand) and p ^ 2 is the port across
+its node.  The sites ``move_candidates`` lists, each kind sorted by its ports:
+
+* r1+  ``((u, v), variant)``: a wire u < v and one of four variants 0..3.
+* r1-  ``(h, e)``: a kink's wire, h the one port of its monogon face and
+  e = h's node's next slot, the port h is wired to.
+* r2+  ``(h1, h2, variant)``: two sides of one face, h1 < h2, and "over" or
+  "under".
+* r2-  ``(h1, h2)``: the two ports of a bigon face, h1 < h2.
+* r3   ``(h1, h2, h3)``: the three ports of a triangle face in face order,
+  starting at the least.
+
+Conventions used by the rewirings:
 
 * r1+  cuts a wire and inserts a one-crossing loop; four variants cover both
   chiralities on both sides of the strand.
@@ -61,8 +73,8 @@ def _candidates_r1_add(g):
     return [(w, v) for w in g.wires() for v in range(4)]
 
 
-# Per r1+ variant: the port the cut wire enters, the two ports the loop joins,
-# and the port it leaves by.
+# Per r1+ variant: the slot the cut wire enters, the two slots the loop joins,
+# and the slot it leaves by.
 _R1_ADD_PORTS = ((0, 2, 1, 3), (0, 2, 3, 1), (1, 3, 0, 2), (3, 1, 0, 2))
 
 
@@ -70,25 +82,24 @@ def _apply_r1_add(g, site):
     (a, b), variant = site
     entry, p, q, exit_ = _R1_ADD_PORTS[variant]
     g.disconnect(a)
-    k = g.add_node()
-    g.connect(a, (k, entry))
-    g.connect((k, p), (k, q))
-    g.connect((k, exit_), b)
+    k = 4 * g.add_node()
+    g.connect(a, k + entry)
+    g.connect(k + p, k + q)
+    g.connect(k + exit_, b)
 
 
 def _candidates_r1_remove(g):
     out = []
     for face in g.faces():
-        if len(face) == 1 and _spliceable(g, {face[0][0]}):
-            nid, p = face[0]  # a kink is a monogon: (nid, p) wired to (nid, p + 1)
-            out.append((nid, (p, (p + 1) % 4)))
+        if len(face) == 1 and _spliceable(g, {face[0] >> 2}):
+            h = face[0]  # a kink is a monogon: h wired to the next slot of its node
+            out.append((h, g.conn[h]))
     out.sort()
     return out
 
 
 def _apply_r1_remove(g, site):
-    nid, _loop = site
-    g.splice_out({nid})
+    g.splice_out({site[0] >> 2})
 
 
 def _count_r2_add(g):
@@ -125,9 +136,9 @@ def _candidates_r2_add(g):
     return list(_r2_add_sites(g))
 
 
-# Per r2+ variant, the ports (x, y) of the strand beta -> alpha, which runs
-# (c1, x) -> (c1, y) -> (c2, y) -> (c2, x), and the ports (u, v) of the strand
-# gamma -> delta, which runs (c1, u) -> (c1, v) -> (c2, u) -> (c2, v).
+# Per r2+ variant, the slots (x, y) of the strand beta -> alpha, which runs
+# c1 + x -> c1 + y -> c2 + y -> c2 + x, and the slots (u, v) of the strand
+# gamma -> delta, which runs c1 + u -> c1 + v -> c2 + u -> c2 + v.
 _R2_ADD_PORTS = {"over": ((3, 1), (0, 2)), "under": ((0, 2), (1, 3))}
 
 
@@ -138,14 +149,14 @@ def _apply_r2_add(g, site):
     (x, y), (u, v) = _R2_ADD_PORTS[variant]
     g.disconnect(alpha)
     g.disconnect(gamma)
-    c1 = g.add_node()
-    c2 = g.add_node()
-    g.connect(beta, (c1, x))
-    g.connect((c1, y), (c2, y))
-    g.connect((c2, x), alpha)
-    g.connect(gamma, (c1, u))
-    g.connect((c1, v), (c2, u))
-    g.connect((c2, v), delta)
+    c1 = 4 * g.add_node()
+    c2 = 4 * g.add_node()
+    g.connect(beta, c1 + x)
+    g.connect(c1 + y, c2 + y)
+    g.connect(c2 + x, alpha)
+    g.connect(gamma, c1 + u)
+    g.connect(c1 + v, c2 + u)
+    g.connect(c2 + v, delta)
 
 
 def _candidates_r2_remove(g):
@@ -156,10 +167,10 @@ def _candidates_r2_remove(g):
         if len(face) != 2:
             continue
         h1, h2 = sorted(face)
-        n1, n2 = h1[0], h2[0]
+        n1, n2 = h1 >> 2, h2 >> 2
         if n1 == n2:
             continue
-        if h1[1] % 2 != g.conn[h1][1] % 2:
+        if (h1 ^ g.conn[h1]) & 1:
             continue  # strand changes level across the bigon
         if not _spliceable(g, {n1, n2}):
             continue
@@ -170,15 +181,15 @@ def _candidates_r2_remove(g):
 
 def _apply_r2_remove(g, site):
     h1, h2 = site
-    g.splice_out({h1[0], h2[0]})
+    g.splice_out({h1 >> 2, h2 >> 2})
 
 
 def _candidates_r3(g):
     out = []
     for face in g.faces():
-        if len(face) != 3 or len({h[0] for h in face}) != 3:
+        if len(face) != 3 or len({h >> 2 for h in face}) != 3:
             continue
-        if not any(h[1] % 2 and g.conn[h][1] % 2 for h in face):
+        if not any(h & g.conn[h] & 1 for h in face):
             continue  # cyclic triangle: no strand runs over both crossings
         k = face.index(min(face))
         out.append(face[k:] + face[:k])
@@ -190,8 +201,7 @@ def _apply_r3(g, site):
     rho = {}
     for h in site:
         e = g.conn[h]
-        h2, e2 = (h[0], (h[1] + 2) % 4), (e[0], (e[1] + 2) % 4)
-        rho.update({h: h2, h2: e, e: e2, e2: h})
+        rho.update({h: h ^ 2, h ^ 2: e, e: e ^ 2, e ^ 2: h})
     # only the wires at the 12 rotated ports move, each keyed once by its smaller port
     moved = dict(sorted((u, g.conn[u])) for u in rho)
     for u in moved:

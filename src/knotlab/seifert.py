@@ -64,11 +64,20 @@ def incompressibility_certificate(pd):
     alternating (Seifert's algorithm on an alternating projection gives a
     least-genus surface), or the surface genus meets the Alexander span bound
     genus >= span/2.  Least genus implies incompressible for knots.
+
+    On an alternating diagram the span must equal C - s + 1, twice the
+    Seifert genus (Murasugi 1958; Crowell 1959), or InconsistencyError is raised.
     """
     dec = seifert_circles(pd)
     span = invariants.alexander(pd).span
     half = span // 2
     if is_alternating(pd):
+        twice_genus = len(pd) - dec.circle_count + 1
+        if twice_genus != span:
+            raise InconsistencyError(
+                f"alternating diagram with Seifert genus {twice_genus / 2:g} != "
+                f"span/2 = {half}"
+            )
         method = "alternating"
     elif dec.genus == half:
         method = "span-equality"

@@ -1,9 +1,12 @@
 """Mutable 4-valent port graphs behind diagram surgery.
 
-A node is a crossing whose ports 0..3 are its PD slots, in counterclockwise
-order and up to the half turn that the under-strand's direction picks: ports
-0 and 2 carry the under-strand and ports 1 and 3 the over-strand.  Wires
-connect ports.  Tracing a fully wired graph orients every strand, numbers
+A node is a crossing whose ports are its PD slots 0..3, in counterclockwise
+order and up to the half turn that the under-strand's direction picks: slots
+0 and 2 carry the under-strand and slots 1 and 3 the over-strand.  Port s of
+node n is the int 4n + s, as in ``knotlab.diagram``: p >> 2 is its node, p & 3
+its slot, p & 1 its level (odd is over) and p ^ 2 the port across.  A port
+that is not a non-negative int raises WiringError.  Wires connect ports.
+Tracing a fully wired graph orients every strand, numbers
 the edges consecutively along each component and emits a PD diagram, so code
 that builds or mutates graphs never has to manage edge labels itself.
 """
@@ -39,19 +42,21 @@ class StrandGraph:
 
     def connect(self, u, v):
         for port in (u, v):
-            if port[0] not in self.nodes or port[1] not in (0, 1, 2, 3):
-                raise WiringError(f"no port {port} in the graph")
+            _check_port(port)
+            if port >> 2 not in self.nodes:
+                raise WiringError(f"no port {_named(port)} in the graph")
         if u == v:
             raise WiringError("cannot wire a port to itself")
         if u in self.conn or v in self.conn:
-            raise WiringError(f"port already wired: {u if u in self.conn else v}")
+            raise WiringError(f"port already wired: {_named(u if u in self.conn else v)}")
         self.conn[u] = v
         self.conn[v] = u
         self._walk = None
 
     def disconnect(self, u):
+        _check_port(u)
         if u not in self.conn:
-            raise WiringError(f"port {u} is not wired")
+            raise WiringError(f"port {_named(u)} is not wired")
         v = self.conn.pop(u)
         del self.conn[v]
         self._walk = None
@@ -60,8 +65,8 @@ class StrandGraph:
     def remove_node(self, nid):
         if nid not in self.nodes:
             raise WiringError(f"no node {nid} in the graph")
-        for p in range(4):
-            if (nid, p) in self.conn:
+        for p in range(4 * nid, 4 * nid + 4):
+            if p in self.conn:
                 raise WiringError("remove_node on a wired node")
         self.nodes.remove(nid)
         self._walk = None
@@ -82,20 +87,20 @@ class StrandGraph:
         WiringError if some port of the set is never walked: a strand that
         never leaves the set would be orphaned as a crossingless loop.
         """
+        conn = self.conn
         walked = set()
         pairs = []
         for nid in removed:
-            for p in range(4):
-                start = (nid, p)
-                outside = self.conn[start]
-                if start in walked or outside[0] in removed:
+            for start in range(4 * nid, 4 * nid + 4):
+                outside = conn[start]
+                if start in walked or outside >> 2 in removed:
                     continue
                 cur = start
                 while True:
-                    out_port = (cur[0], (cur[1] + 2) % 4)
+                    out_port = cur ^ 2
                     walked.update((cur, out_port))
-                    cur = self.conn[out_port]
-                    if cur[0] not in removed:
+                    cur = conn[out_port]
+                    if cur >> 2 not in removed:
                         break
                 pairs.append((outside, cur))
         if len(walked) < 4 * len(removed):
@@ -106,9 +111,9 @@ class StrandGraph:
         """Delete a set of nodes, reconnecting every strand that passes through."""
         pairs = self.splice_pairs(removed)
         for nid in removed:
-            for p in range(4):
-                if (nid, p) in self.conn:
-                    self.disconnect((nid, p))
+            for p in range(4 * nid, 4 * nid + 4):
+                if p in self.conn:
+                    self.disconnect(p)
             self.remove_node(nid)
         for a, b in pairs:
             self.connect(a, b)
@@ -135,7 +140,9 @@ class StrandGraph:
         for lab, pair in _occurrences(pd).items():
             if len(pair) != 2:
                 raise WiringError(f"edge label {lab} does not appear exactly twice")
-            g.connect(pair[0], pair[1])
+            u, v = pair
+            g.conn[u] = v
+            g.conn[v] = u
         return g
 
     def to_diagram(self):
@@ -149,24 +156,32 @@ class StrandGraph:
         nodes = sorted(self.nodes)
         conn = self.conn
         for nid in nodes:
-            for p in range(4):
-                if (nid, p) not in conn:
-                    raise WiringError(f"unwired port {(nid, p)}")
+            for p in range(4 * nid, 4 * nid + 4):
+                if p not in conn:
+                    raise WiringError(f"unwired port {_named(p)}")
         label = {}
         entered = {}
         for nid in nodes:
-            for p in (0, 2, 1, 3):
-                # enter a component at (nid, p) unless its wire is labeled
-                port = (nid, p)
+            b = 4 * nid
+            for port in (b, b + 2, b + 1, b + 3):
+                # enter a component at port unless its wire is labeled
                 while port not in label and conn[port] not in label:
                     label[port] = len(label) + 1
-                    n, q = port
-                    if q % 2 == 0:
-                        entered[n] = q
-                    port = conn[(n, (q + 2) % 4)]
+                    if not port & 1:
+                        entered[port >> 2] = port
+                    port = conn[port ^ 2]
         crossings = []
         for nid in nodes:
-            u = entered[nid]
-            ports = [(nid, (u + k) % 4) for k in range(4)]
+            u = entered[nid]  # slot 0 or 2, so the slots run u, u + 1, u ^ 2, (u ^ 2) + 1
+            ports = (u, u + 1, u ^ 2, (u ^ 2) + 1)
             crossings.append(Crossing(*(label.get(q) or label[conn[q]] for q in ports)))
         return PlanarDiagram(tuple(crossings))
+
+
+def _named(port):
+    return f"{port} (node {port >> 2}, slot {port & 3})"
+
+
+def _check_port(port):
+    if port.__class__ is not int or port < 0:
+        raise WiringError(f"malformed port {port!r}: a port is a non-negative int 4 * node + slot")

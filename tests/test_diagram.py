@@ -280,7 +280,7 @@ def _union_find_checkerboard(pd):
     uf = _ParityUnionFind(len(rr.faces))
     for u, v in rr.occ.values():
         assert uf.union(rr.face_of_corner[u][0], rr.face_of_corner[v][0], True)
-    _, white = uf.find(rr.face_of_corner[(0, 0)][0])
+    _, white = uf.find(rr.face_of_corner[0][0])  # corner 0 of crossing 0
     return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
 
 
@@ -296,12 +296,12 @@ def _reference_goeritz(pd, color):
     rows = [{} for _ in carrier[1:]]
     mu = 0
     for ci in range(len(pd)):
-        corners = [k for k in range(4) if colors[rr.face_of_corner[(ci, k)][0]] == color]
+        corners = [k for k in range(4) if colors[rr.face_of_corner[4 * ci + k][0]] == color]
         assert corners in ([0, 2], [1, 3])
         eta = -1 if corners == [0, 2] else 1
         if (corners == [0, 2]) == (rr.signs[ci] < 0):  # type II
             mu += eta
-        fi, fj = (pos[rr.face_of_corner[(ci, k)][0]] for k in corners)
+        fi, fj = (pos[rr.face_of_corner[4 * ci + k][0]] for k in corners)
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:
@@ -386,9 +386,9 @@ def test_face_color_cross_check_is_live(monkeypatch):
     for field in diagram._Resolved.__slots__:
         setattr(bad, field, getattr(real, field))
     # corners 0 and 1 of crossing 0 lie in faces of opposite colors; swap them
-    f0, f1 = real.face_of_corner[(0, 0)][0], real.face_of_corner[(0, 1)][0]
+    f0, f1 = real.face_of_corner[0][0], real.face_of_corner[1][0]
     assert f0 != f1
-    swap = {(0, 0): (0, 1), (0, 1): (0, 0)}
+    swap = {0: 1, 1: 0}  # corners 4 * crossing + k
     bad.faces = tuple(
         tuple(swap.get(c, c) for c in face) if f in (f0, f1) else face
         for f, face in enumerate(real.faces)

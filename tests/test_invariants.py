@@ -267,6 +267,22 @@ def test_every_public_invariant_is_cross_checked(monkeypatch):
             public(TREFOIL)
 
 
+def test_signature_mod_4_check_is_live(monkeypatch):
+    """A correction term off by 2 keeps the signature even but breaks
+    sigma = det - 1 (mod 4); the error names both values."""
+    real = invariants._goeritz
+
+    def shifted(pd, color=None):
+        rows, mu = real(pd, color)
+        return rows, mu + 2
+
+    monkeypatch.setattr(invariants, "_goeritz", shifted)
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    for pd, sig, det in ((TREFOIL, -4, 3), (FIG8, -2, 5), (KINK, -2, 1)):
+        with pytest.raises(InconsistencyError, match=f"^signature {sig} and determinant {det} "):
+            invariant_tuple(pd)
+
+
 def test_genus_lower_bound():
     assert genus_lower_bound(KINK) == 0
     assert genus_lower_bound(TREFOIL) == 1

@@ -53,10 +53,10 @@ def _probed_removals(g, kind):
     tried on a deep copy of the graph, raises no WiringError."""
     if kind == "r1-":
         sites = [
-            ((nid, (p, (p + 1) % 4)), {nid})
+            ((h, g.conn[h]), {nid})
             for nid in sorted(g.nodes)
-            for p in range(4)
-            if g.conn[(nid, p)] == (nid, (p + 1) % 4)
+            for h in range(4 * nid, 4 * nid + 4)  # port 4 * node + slot
+            if g.conn[h] == 4 * nid + (h + 1) % 4
         ]
     else:
         sites = []
@@ -65,9 +65,9 @@ def _probed_removals(g, kind):
                 continue
             h1, h2 = sorted(face)
             e = g.conn[h1]
-            level = (h1[1] % 2, e[1] % 2)  # odd ports carry the over-strand
-            if h1[0] != h2[0] and e != h2 and level[0] == level[1]:
-                sites.append(((h1, h2), {h1[0], h2[0]}))
+            level = (h1 & 1, e & 1)  # odd ports carry the over-strand
+            if h1 >> 2 != h2 >> 2 and e != h2 and level[0] == level[1]:
+                sites.append(((h1, h2), {h1 >> 2, h2 >> 2}))
         sites.sort(key=lambda s: s[0])
     viable = []
     for site, nodes in sites:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from knotlab import seifert
 from knotlab.constructions import rational_knot, torus_2n
-from knotlab.diagram import ValidationError, is_alternating, parse_pd
+from knotlab.diagram import InconsistencyError, ValidationError, is_alternating, parse_pd
 from knotlab.invariants import genus_lower_bound
 from knotlab.moves import reidemeister_perturb
 from knotlab.seifert import incompressibility_certificate, seifert_circles, seifert_genus
@@ -73,3 +74,20 @@ def test_certified_genus_dominates_polynomial_bound():
         cert = incompressibility_certificate(pd)
         assert cert.certified
         assert cert.seifert_genus >= genus_lower_bound(pd)
+
+
+def test_alternating_genus_check_is_live(monkeypatch):
+    """An alternating diagram whose circle count gives a Seifert genus off
+    span/2 is refused, not certified."""
+    real = seifert.seifert_circles
+
+    def undercounted(pd):
+        dec = real(pd)
+        return dec._replace(circle_count=dec.circle_count - 1)
+
+    monkeypatch.setattr(seifert, "seifert_circles", undercounted)
+    for pd in (TREFOIL, rational_knot([2, 2]), torus_2n(5)):
+        with pytest.raises(InconsistencyError, match=r"Seifert genus \S+ != span/2 = \d+"):
+            incompressibility_certificate(pd)
+    # a diagram that does not alternate is not held to the equality
+    incompressibility_certificate(reidemeister_perturb(TREFOIL, moves=8, seed=3))

@@ -1,5 +1,7 @@
 """Port-level strand graph: wiring discipline and diagram round-trips."""
 
+import re
+
 import pytest
 
 from knotlab.diagram import _face_orbits, faces, parse_pd, serialize_pd, validate
@@ -10,28 +12,32 @@ from knotlab.wiring import StrandGraph, WiringError
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
 
 
+def _port(node, slot):
+    return 4 * node + slot
+
+
 def test_connect_discipline():
     g = StrandGraph()
     a = g.add_node()
     b = g.add_node()
-    g.connect((a, 0), (b, 2))
+    g.connect(_port(a, 0), _port(b, 2))
     with pytest.raises(WiringError):
-        g.connect((a, 0), (b, 3))  # port reuse
+        g.connect(_port(a, 0), _port(b, 3))  # port reuse
     with pytest.raises(WiringError):
-        g.connect((a, 1), (a, 1))  # self-wire
-    assert g.wires() == [((a, 0), (b, 2))]
+        g.connect(_port(a, 1), _port(a, 1))  # self-wire
+    assert g.wires() == [(_port(a, 0), _port(b, 2))]
 
 
 def test_unknown_ports_and_nodes_are_refused():
     g = StrandGraph()
     a = g.add_node()
     b = g.add_node()
-    with pytest.raises(WiringError, match=r"\(7, 1\)"):
-        g.connect((a, 0), (7, 1))  # node 7 was never added
-    with pytest.raises(WiringError, match=r"\(0, 4\)"):
-        g.connect((a, 4), (b, 4))  # a node has ports 0..3 only
-    with pytest.raises(WiringError, match=r"\(0, 0\)"):
-        g.disconnect((a, 0))  # unwired port
+    with pytest.raises(WiringError, match=r"node 7, slot 1"):
+        g.connect(_port(a, 0), _port(7, 1))  # node 7 was never added
+    with pytest.raises(WiringError, match=r"malformed port \(0, 4\)"):
+        g.connect((a, 4), _port(b, 0))  # a port is one int, not a (node, slot) pair
+    with pytest.raises(WiringError, match=r"node 0, slot 0"):
+        g.disconnect(_port(a, 0))  # unwired port
     with pytest.raises(WiringError, match="node 3"):
         g.remove_node(3)
     assert g.conn == {}
@@ -44,10 +50,10 @@ def test_remove_node_requires_unwired():
     g = StrandGraph()
     a = g.add_node()
     b = g.add_node()
-    g.connect((a, 0), (b, 0))
+    g.connect(_port(a, 0), _port(b, 0))
     with pytest.raises(WiringError):
         g.remove_node(a)
-    g.disconnect((a, 0))
+    g.disconnect(_port(a, 0))
     g.remove_node(a)
     assert a not in g.nodes
 
@@ -77,7 +83,7 @@ def test_splice_out_reconnects_through_strands():
     g = StrandGraph.from_diagram(kinked)
     kink_node = next(
         nid for nid in g.nodes
-        if any(g.conn[(nid, p)][0] == nid for p in range(4))
+        if any(g.conn[_port(nid, p)] >> 2 == nid for p in range(4))
     )
     g.splice_out({kink_node})
     out = g.to_diagram()
@@ -109,7 +115,7 @@ def test_faces_counts_match_euler():
     for pd in diagrams:
         got = StrandGraph.from_diagram(pd).faces()
         assert len(got) == len(pd) + 2
-        assert tuple(got) == faces(pd), pd
+        assert tuple(tuple(divmod(h, 4) for h in face) for face in got) == faces(pd), pd
 
 
 def _assert_fresh_faces(g):
@@ -139,7 +145,7 @@ def test_faces_are_forgotten_on_every_mutation():
     _assert_fresh_faces(g)
     g.remove_node(k)
     _assert_fresh_faces(g)
-    u = (0, 0)
+    u = _port(0, 0)
     v = g.disconnect(u)
     _assert_fresh_faces(g)
     g.connect(u, v)
@@ -148,7 +154,7 @@ def test_faces_are_forgotten_on_every_mutation():
     kinked = StrandGraph.from_diagram(reidemeister_perturb(TREFOIL, moves=[("r1+", 0)]))
     _assert_fresh_faces(kinked)
     kink = next(
-        n for n in kinked.nodes if any(kinked.conn[(n, p)][0] == n for p in range(4))
+        n for n in kinked.nodes if any(kinked.conn[_port(n, p)] >> 2 == n for p in range(4))
     )
     kinked.splice_out({kink})
     _assert_fresh_faces(kinked)
@@ -165,3 +171,15 @@ def test_faces_are_forgotten_on_every_mutation():
         _assert_fresh_faces(g)
         apply_move(g, kind, 0)
         _assert_fresh_faces(g)
+
+
+def test_malformed_ports_are_refused():
+    g = StrandGraph.from_diagram(TREFOIL)
+    conn = dict(g.conn)
+    a = g.add_node()
+    for port in (True, (a, 0), -1, 1.0, "0"):
+        for call in (lambda: g.connect(port, _port(a, 1)), lambda: g.connect(_port(a, 1), port),
+                     lambda: g.disconnect(port)):
+            with pytest.raises(WiringError, match=r"malformed port " + re.escape(repr(port))):
+                call()
+    assert g.conn == conn  # a refused port leaves the wiring as it was
