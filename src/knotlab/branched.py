@@ -68,6 +68,11 @@ class BranchedSurfaceModel(
         return sum(c for _, c in self.sectors)
 
 
+def _curve_sides(model):
+    """The ids of the sectors some branch curve has as a side."""
+    return {s for c in model.branch_curves for s in (c.merged_side, *c.sheet_sides)}
+
+
 def _check(model):
     ids = model.sector_ids()
     if len(set(ids)) != len(ids):
@@ -82,7 +87,7 @@ def _check(model):
                 raise ModelError(f"curve {c.id} references unknown sector {s}")
     # a sector is a connected surface (chi <= 2) with boundary along each branch
     # curve it is a side of (chi <= 1)
-    sided = {s for c in model.branch_curves for s in (c.merged_side, *c.sheet_sides)}
+    sided = _curve_sides(model)
     for sid, chi in model.sectors:
         if chi > 2:
             raise ModelError(f"sector {sid}: chi {chi} > 2 on a connected surface")
@@ -185,7 +190,10 @@ def _feasible_positive(rows, n):
 def carries_closed_surface(model):
     """True iff the branch equations admit a strictly positive solution.
 
-    Raises ModelError when the starting system would exceed MAX_COEFFICIENTS.
+    A sector that no curve touches has a zero column, so w = 1 serves it:
+    only the sectors on curves are eliminated, and a model with sectors but
+    no curves carries a surface.  Raises ModelError when the starting system
+    of the whole model would exceed MAX_COEFFICIENTS.
     """
     n, m = len(model.sectors), len(model.branch_curves)
     size = (2 * m + n) * (n + 1)
@@ -194,8 +202,14 @@ def carries_closed_surface(model):
             f"branch equations too large: {n} sectors and {m} curves "
             f"need {size} coefficients (limit {MAX_COEFFICIENTS})"
         )
+    if not m:
+        return n > 0
     rows = branch_equations(model)
-    return _feasible_positive(rows, n)
+    sided = _curve_sides(model)
+    if len(sided) < n:
+        keep = [k for k, sid in enumerate(model.sector_ids()) if sid in sided]
+        rows = [[row[k] for k in keep] for row in rows]
+    return _feasible_positive(rows, len(sided))
 
 
 def transversely_orientable(model):

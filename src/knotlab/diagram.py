@@ -19,7 +19,8 @@ crossing c, are the one int 4c + s (or 4c + k).  So p >> 2 is the crossing,
 p & 3 the slot, p & 1 the level (odd slots carry the over-strand) and p ^ 2
 the slot across.  The map is increasing in (crossing, slot) order, so sorting
 ints sorts ports as the pairs would sort.  The public faces(pd) still gives
-(crossing, k) pairs.
+(crossing, k) pairs.  Being ints, ports index lists: the one face walk
+(_face_orbits) records each port's face in a flat list, face_of[port].
 """
 
 from __future__ import annotations
@@ -171,33 +172,31 @@ def _face_orbits(partner, nodes):
     its other end e and turn to the clockwise-adjacent slot of e's node,
     (e & ~3) | ((e - 1) & 3).
 
-    Returns (faces, index, same): the faces as tuples of ports, each entered
-    at its first port in node then slot order; index, port -> (face, position
-    in it); and the number of wires with the same face on both sides.
+    Returns (faces, face_of, same): the faces as tuples of ports, each entered
+    at its first port in node then slot order; face_of, the list indexed by
+    port that holds each port's face, and -1 at the ports of nodes not in
+    `nodes`; and the number of wires with the same face on both sides.
     Raises KeyError on a port a dict pairing leaves unwired.
     """
     faces = []
-    index = {}
+    face_of = [-1] * (4 * nodes[-1] + 4 if nodes else 0)
     same = 0
-    f = 0
     for c in nodes:
         for h in range(4 * c, 4 * c + 4):
-            if h in index:
+            if face_of[h] >= 0:
                 continue
+            f = len(faces)
             face = []
-            i = 0
-            while h not in index:
-                index[h] = (f, i)
-                i += 1
+            while face_of[h] < 0:
+                face_of[h] = f
                 face.append(h)
                 e = partner[h]
                 # a wire is counted at the second of its two ports to be walked
-                if e in index and index[e][0] == f:
+                if face_of[e] == f:
                     same += 1
                 h = (e & ~3) | ((e - 1) & 3)
             faces.append(tuple(face))
-            f += 1
-    return faces, index, same
+    return faces, face_of, same
 
 
 class _ParityUnionFind:
@@ -244,7 +243,7 @@ class _Resolved:
         "over",
         "signs",
         "faces",
-        "face_of_corner",  # corner 4 * crossing + k -> (face, position in it)
+        "face_of_corner",  # list: corner 4 * crossing + k -> its face
     )
 
 
@@ -348,7 +347,7 @@ def _resolve(pd):
             failures.append("split diagram: underlying graph is disconnected")
 
     r.faces = ()
-    r.face_of_corner = {}
+    r.face_of_corner = []
     if not failures:
         faces, r.face_of_corner, _ = _face_orbits(partner, range(n))
         r.faces = tuple(faces)

@@ -127,7 +127,7 @@ def _deleted_faces(pd, rr):
             weight[labels[h]] += m
     best = max(weight)
     u, v = next(ends for e, ends in rr.occ.items() if weight[e] == best)
-    return rr.face_of_corner[u][0], rr.face_of_corner[v][0]
+    return rr.face_of_corner[u], rr.face_of_corner[v]
 
 
 def _region_minor(pd):
@@ -195,8 +195,8 @@ def _goeritz(pd, color=None):
         eta = -1 if d02 else 1
         if d02 != (sign > 0):
             mu += eta  # type II
-        fi = pos[face_of[4 * ci + k][0]]
-        fj = pos[face_of[4 * ci + k + 2][0]]
+        fi = pos[face_of[4 * ci + k]]
+        fj = pos[face_of[4 * ci + k + 2]]
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:

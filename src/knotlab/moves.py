@@ -10,11 +10,12 @@ surfaces before it can corrupt downstream invariants.
 A random move picks a kind uniformly among the kinds that have sites, then a
 site uniformly in that kind's deterministic candidate order.  The faces are
 walked once per graph state (``StrandGraph.face_walk`` remembers the walk
-until the next mutation) and every kind reads that one walk: r1-, r2- and r3
-its faces, r2+ its port index and its count of wires with one face on both
-sides.  r1+ and r2+ sites, the many, are counted and only the drawn one is
-built; it is the site ``move_candidates`` lists at the drawn index, so the
-listed and the drawn sites are the same.
+until the next mutation), and one sweep over that walk's faces serves every
+kind: it lists the r1-, r2- and r3 sites and counts the r2+ sites from the
+face sizes and the walk's count of wires with one face on both sides.  r1+
+and r2+ sites, the many, are counted and only the drawn one is built; it is
+the site ``move_candidates`` lists at the drawn index, so the listed and the
+drawn sites are the same.
 
 Ports are the ints 4 * node + slot of ``knotlab.wiring``, so a port's level
 is its parity (odd ports carry the over-strand) and p ^ 2 is the port across
@@ -69,10 +70,6 @@ def _spliceable(g, nodes):
     return True
 
 
-def _candidates_r1_add(g):
-    return [(w, v) for w in g.wires() for v in range(4)]
-
-
 # Per r1+ variant: the slot the cut wire enters, the two slots the loop joins,
 # and the slot it leaves by.
 _R1_ADD_PORTS = ((0, 2, 1, 3), (0, 2, 3, 1), (1, 3, 0, 2), (3, 1, 0, 2))
@@ -88,26 +85,8 @@ def _apply_r1_add(g, site):
     g.connect(k + exit_, b)
 
 
-def _candidates_r1_remove(g):
-    out = []
-    for face in g.faces():
-        if len(face) == 1 and _spliceable(g, {face[0] >> 2}):
-            h = face[0]  # a kink is a monogon: h wired to the next slot of its node
-            out.append((h, g.conn[h]))
-    out.sort()
-    return out
-
-
 def _apply_r1_remove(g, site):
     g.splice_out({site[0] >> 2})
-
-
-def _count_r2_add(g):
-    """len(_candidates_r2_add(g)): two variants per pair of sides of a face,
-    less the pairs that are one wire seen from both sides (a wire bounds one
-    face on both sides only in a rotation system that is not planar)."""
-    faces, _, same_wire = g.face_walk()
-    return 2 * (sum(len(face) * (len(face) - 1) // 2 for face in faces) - same_wire)
 
 
 def _r2_add_sites(g, skip=0):
@@ -116,24 +95,27 @@ def _r2_add_sites(g, skip=0):
     h2 is a side of h1's face later in the face than h1, other than h1's own
     wire seen from its far side.  Walking h1 over the ports in sorted order
     yields every site in sorted order, and the sites of an h1 wholly before
-    the skip-th are counted, never built.
+    the skip-th are counted, never built.  The ports' positions in their
+    faces are read off the faces here, the one reader that needs them.
     """
-    faces, where, _ = g.face_walk()
-    for h1 in sorted(where):
-        f, i = where[h1]
+    faces, face_of, _ = g.face_walk()
+    at = [0] * len(face_of)
+    for face in faces:
+        for i, h in enumerate(face):
+            at[h] = i
+    for h1, f in enumerate(face_of):
+        if f < 0:
+            continue  # a port of a removed node
         face = faces[f]
+        i = at[h1]
         e = g.conn[h1]
-        block = 2 * (len(face) - 1 - i - (where[e][0] == f and where[e][1] > i))
+        block = 2 * (len(face) - 1 - i - (face_of[e] == f and at[e] > i))
         if skip >= block:
             skip -= block
             continue
         sites = [(h1, h2, v) for h2 in sorted(face[i + 1 :]) if h2 != e for v in ("over", "under")]
         yield from sites[skip:]
         skip = 0
-
-
-def _candidates_r2_add(g):
-    return list(_r2_add_sites(g))
 
 
 # Per r2+ variant, the slots (x, y) of the strand beta -> alpha, which runs
@@ -159,42 +141,9 @@ def _apply_r2_add(g, site):
     g.connect(c2 + v, delta)
 
 
-def _candidates_r2_remove(g):
-    out = []
-    if len(g.nodes) < 3:
-        return out  # removal must leave at least one crossing
-    for face in g.faces():
-        if len(face) != 2:
-            continue
-        h1, h2 = sorted(face)
-        n1, n2 = h1 >> 2, h2 >> 2
-        if n1 == n2:
-            continue
-        if (h1 ^ g.conn[h1]) & 1:
-            continue  # strand changes level across the bigon
-        if not _spliceable(g, {n1, n2}):
-            continue
-        out.append((h1, h2))
-    out.sort()
-    return out
-
-
 def _apply_r2_remove(g, site):
     h1, h2 = site
     g.splice_out({h1 >> 2, h2 >> 2})
-
-
-def _candidates_r3(g):
-    out = []
-    for face in g.faces():
-        if len(face) != 3 or len({h >> 2 for h in face}) != 3:
-            continue
-        if not any(h & g.conn[h] & 1 for h in face):
-            continue  # cyclic triangle: no strand runs over both crossings
-        k = face.index(min(face))
-        out.append(face[k:] + face[:k])
-    out.sort()
-    return out
 
 
 def _apply_r3(g, site):
@@ -210,13 +159,6 @@ def _apply_r3(g, site):
         g.connect(rho.get(u, u), rho.get(v, v))
 
 
-_ENUM = {
-    "r1+": _candidates_r1_add,
-    "r1-": _candidates_r1_remove,
-    "r2+": _candidates_r2_add,
-    "r2-": _candidates_r2_remove,
-    "r3": _candidates_r3,
-}
 _APPLY = {
     "r1+": _apply_r1_add,
     "r1-": _apply_r1_remove,
@@ -226,11 +168,67 @@ _APPLY = {
 }
 
 
+def _sweep(g):
+    """Every kind's (number of sites, site at an index) from one pass over
+    the faces of g's current walk, as a dict by kind.
+
+    The pass lists the r1- sites (monogons), r2- sites (bigons) and r3 sites
+    (triangles), each sorted, and counts the r2+ sites: two variants per pair
+    of sides of a face, less the pairs that are one wire seen from both sides
+    (a wire bounds one face on both sides only in a rotation system that is
+    not planar).  r1+ and r2+ sites, the many, are built only when asked for.
+    """
+    faces, _, same = g.face_walk()
+    conn = g.conn
+    bigons = len(g.nodes) >= 3  # an r2- must leave at least one crossing
+    r1, r2, r3 = [], [], []
+    pairs = 0
+    for face in faces:
+        m = len(face)
+        pairs += m * (m - 1) // 2
+        if m == 1:
+            h = face[0]  # a kink is a monogon: h wired to the next slot of its node
+            if _spliceable(g, {h >> 2}):
+                r1.append((h, conn[h]))
+        elif m == 2:
+            h1, h2 = sorted(face)
+            n1, n2 = h1 >> 2, h2 >> 2
+            # the strand must keep its level across the bigon
+            if bigons and n1 != n2 and not (h1 ^ conn[h1]) & 1 and _spliceable(g, {n1, n2}):
+                r2.append((h1, h2))
+        elif m == 3 and len({h >> 2 for h in face}) == 3:
+            # a cyclic triangle has no strand running over both its crossings
+            if any(h & conn[h] & 1 for h in face):
+                k = face.index(min(face))
+                r3.append(face[k:] + face[:k])
+    r1.sort()
+    r2.sort()
+    r3.sort()
+    return {
+        "r1+": (2 * len(conn), lambda i: (g.wires()[i // 4], i % 4)),
+        "r1-": (len(r1), r1.__getitem__),
+        "r2+": (2 * (pairs - same), lambda i: next(_r2_add_sites(g, i))),
+        "r2-": (len(r2), r2.__getitem__),
+        "r3": (len(r3), r3.__getitem__),
+    }
+
+
+def _counted_sites(g, kind):
+    """(number of sites, site at an index) of one kind, as move_candidates
+    lists them."""
+    if kind not in MOVE_KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return _sweep(g)[kind]
+
+
 def move_candidates(g, kind):
     """Viable move sites of one kind, in deterministic order."""
-    if kind not in _ENUM:
-        raise MoveError(f"unknown move kind {kind!r}")
-    return _ENUM[kind](g)
+    if kind == "r1+":
+        return [(w, v) for w in g.wires() for v in range(4)]
+    if kind == "r2+":
+        return list(_r2_add_sites(g))
+    n, pick = _counted_sites(g, kind)
+    return [pick(i) for i in range(n)]
 
 
 def _is_non_negative_int(n):
@@ -252,26 +250,16 @@ def apply_move(g, kind, index=0):
         raise MoveError(f"{kind} produced an invalid diagram: {report.failures}")
 
 
-def _counted_sites(g, kind):
-    """(number of sites, site at an index) of one kind, as move_candidates
-    lists them; r1+ and r2+ sites, the many, are built only when asked for."""
-    if kind == "r1+":
-        return 2 * len(g.conn), lambda i: (g.wires()[i // 4], i % 4)
-    if kind == "r2+":
-        return _count_r2_add(g), lambda i: next(_r2_add_sites(g, i))
-    sites = move_candidates(g, kind)
-    return len(sites), sites.__getitem__
-
-
 def _random_step(g, rng, cap):
     """Apply one random move: a kind uniformly among the kinds that have
     sites, then a site uniformly in that kind's candidate order."""
     options = []
     size = len(g.nodes)
+    swept = _sweep(g)
     for kind in MOVE_KINDS:
         if kind in _ADDED and (size + 2 > cap or size + _ADDED[kind] > MAX_CROSSINGS):
             continue
-        n, pick = _counted_sites(g, kind)
+        n, pick = swept[kind]
         if n:
             options.append((kind, n, pick))
     if not options:

@@ -65,14 +65,22 @@ def incompressibility_certificate(pd):
     least-genus surface), or the surface genus meets the Alexander span bound
     genus >= span/2.  Least genus implies incompressible for knots.
 
-    On an alternating diagram the span must equal C - s + 1, twice the
-    Seifert genus (Murasugi 1958; Crowell 1959), or InconsistencyError is raised.
+    Any Seifert surface of genus g bounds span Δ <= 2g and |σ| <= 2g, so
+    InconsistencyError is raised when the span or |σ| exceeds C - s + 1, and
+    on an alternating diagram the span must equal it (Murasugi 1958; Crowell
+    1959).
     """
     dec = seifert_circles(pd)
-    span = invariants.alexander(pd).span
+    tup = invariants.invariant_tuple(pd)
+    span = tup.alexander.span
     half = span // 2
+    twice_genus = len(pd) - dec.circle_count + 1
+    if span > twice_genus or abs(tup.signature) > twice_genus:
+        raise InconsistencyError(
+            f"Seifert genus {twice_genus / 2:g} is below span/2 = {span / 2:g} "
+            f"or |signature|/2 = {abs(tup.signature) / 2:g}"
+        )
     if is_alternating(pd):
-        twice_genus = len(pd) - dec.circle_count + 1
         if twice_genus != span:
             raise InconsistencyError(
                 f"alternating diagram with Seifert genus {twice_genus / 2:g} != "

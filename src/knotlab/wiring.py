@@ -8,7 +8,9 @@ its slot, p & 1 its level (odd is over) and p ^ 2 the port across.  A port
 that is not a non-negative int raises WiringError.  Wires connect ports.
 Tracing a fully wired graph orients every strand, numbers
 the edges consecutively along each component and emits a PD diagram, so code
-that builds or mutates graphs never has to manage edge labels itself.
+that builds or mutates graphs never has to manage edge labels itself.  The
+face walk of a graph state is kept until the next mutation; its face_of list,
+indexed by port, holds -1 at the ports of removed nodes.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ class StrandGraph:
             self.connect(a, b)
 
     def face_walk(self):
-        """(faces, port -> (face, position in it), number of wires with the
-        same face on both sides), as diagram._face_orbits returns them.
+        """(faces, face_of, number of wires with the same face on both
+        sides), as diagram._face_orbits returns them: face_of[port] is the
+        port's face, and -1 at the ports of removed nodes.
 
         Walked once per graph state; callers must not mutate the result.
         """

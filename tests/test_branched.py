@@ -290,6 +290,50 @@ def test_oversized_model_is_refused_before_it_is_built(capsys, tmp_path):
     assert out.endswith(f"(limit {branched.MAX_COEFFICIENTS})\nstatus error\n")
 
 
+def _wide_sparse_model(sectors=200, curves=6, seed=41):
+    """Random curves on the first `curves` sectors of `sectors`, the rest
+    untouched; the CI step "Wide sparse branched model is decided" builds the
+    same text."""
+    rng = random.Random(seed)
+    text = "".join(f"sector S{i} -1\n" for i in range(sectors))
+    for k in range(curves):
+        m, a, b = (rng.randrange(curves) for _ in range(3))
+        text += f"curve C{k} S{m} S{a} S{b} same same 0\n"
+    return text
+
+
+def test_curve_free_sectors_are_not_eliminated(capsys, tmp_path):
+    """A sector on no curve has a zero column, satisfied by w = 1, so only
+    the curved sectors enter elimination: 200 sectors cost what their 6
+    curved ones do (1.8 s and 73.6 MB when every column was eliminated)."""
+    from knotlab.cli import main
+
+    text = _wide_sparse_model()
+    model = parse_model(text)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        carried = carries_closed_surface(model)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 20 * 2**20, (elapsed, peak)
+    curved = parse_model(_wide_sparse_model(sectors=6))
+    assert carried is carries_closed_surface(curved) is False
+    # the same model with its curved sectors listed last
+    lines = text.splitlines(keepends=True)
+    moved = parse_model("".join(lines[6:200] + lines[:6] + lines[200:]))
+    assert carries_closed_surface(moved) is False
+    path = tmp_path / "sparse.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["bf", "--model", str(path), "--certified"]) == 0
+    assert capsys.readouterr().out.endswith("status ok\n")
+    # sectors on no curve at all carry a surface; no sectors carry none
+    assert carries_closed_surface(parse_model("sector A -1\nsector B 2\n"))
+    assert not carries_closed_surface(BranchedSurfaceModel([], [], [], []))
+
+
 def _fraction_feasible_positive(rows, n):
     """Reference decision: Fourier-Motzkin with every coefficient a Fraction."""
     if n == 0:

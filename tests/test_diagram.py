@@ -28,7 +28,7 @@ from knotlab.diagram import (
 )
 from knotlab.invariants import _goeritz, alexander_matrix, invariant_tuple
 from knotlab.knotdb import bundled_table
-from knotlab.moves import _apply_r1_add, reidemeister_perturb
+from knotlab.moves import _apply_r1_add, apply_move, move_candidates, reidemeister_perturb
 from knotlab.seifert import seifert_circles
 from knotlab.wiring import StrandGraph
 
@@ -279,8 +279,8 @@ def _union_find_checkerboard(pd):
     rr = _valid(pd)
     uf = _ParityUnionFind(len(rr.faces))
     for u, v in rr.occ.values():
-        assert uf.union(rr.face_of_corner[u][0], rr.face_of_corner[v][0], True)
-    _, white = uf.find(rr.face_of_corner[0][0])  # corner 0 of crossing 0
+        assert uf.union(rr.face_of_corner[u], rr.face_of_corner[v], True)
+    _, white = uf.find(rr.face_of_corner[0])  # corner 0 of crossing 0
     return ["white" if uf.find(f)[1] == white else "black" for f in range(len(rr.faces))]
 
 
@@ -296,12 +296,12 @@ def _reference_goeritz(pd, color):
     rows = [{} for _ in carrier[1:]]
     mu = 0
     for ci in range(len(pd)):
-        corners = [k for k in range(4) if colors[rr.face_of_corner[4 * ci + k][0]] == color]
+        corners = [k for k in range(4) if colors[rr.face_of_corner[4 * ci + k]] == color]
         assert corners in ([0, 2], [1, 3])
         eta = -1 if corners == [0, 2] else 1
         if (corners == [0, 2]) == (rr.signs[ci] < 0):  # type II
             mu += eta
-        fi, fj = (pos[rr.face_of_corner[4 * ci + k][0]] for k in corners)
+        fi, fj = (pos[rr.face_of_corner[4 * ci + k]] for k in corners)
         if fi != fj:
             for a, b in ((fi, fj), (fj, fi)):
                 if a >= 0:
@@ -341,6 +341,59 @@ def test_checkerboard_and_goeritz_match_the_union_find_coloring():
         for color in (None, "white", "black"):
             assert _goeritz(pd, color) == _reference_goeritz(pd, color), (name, color)
     assert counts == {1, 2, 3}
+
+
+def _dict_face_of(partner, ports):
+    """The reference walk: a dict port -> face, faces numbered in the order
+    their first port comes in `ports`; each step follows the wire and turns
+    to the clockwise-adjacent slot."""
+    face_of = {}
+    for start in ports:
+        if start in face_of:
+            continue
+        f = len(set(face_of.values()))
+        h = start
+        while h not in face_of:
+            face_of[h] = f
+            e = partner[h]
+            h = 4 * (e // 4) + (e - 1) % 4
+    return face_of
+
+
+def test_face_of_corner_matches_a_dict_walker():
+    for name, pd in _coloring_corpus():
+        rr = _valid(pd)
+        partner = {}
+        for u, v in rr.occ.values():
+            partner[u], partner[v] = v, u
+        want = _dict_face_of(partner, range(4 * len(pd)))
+        assert rr.face_of_corner == [want[h] for h in range(4 * len(pd))], name
+        assert [rr.face_of_corner[h] for face in rr.faces for h in face] == [
+            f for f, face in enumerate(rr.faces) for _ in face
+        ], name
+
+
+def test_graph_face_of_is_minus_one_exactly_at_removed_nodes():
+    """A graph's face_of matches the dict walker on seeded rewrites, before
+    and after removal moves splice nodes out, and holds -1 exactly at the
+    ports of the removed nodes."""
+    holes = 0
+    for rec in bundled_table():
+        for seed in range(4):
+            g = StrandGraph.from_diagram(reidemeister_perturb(rec.pd, moves=6, seed=seed))
+            for kind in (None, "r1-", "r2-", "r1-"):
+                if kind is not None:
+                    if not move_candidates(g, kind):
+                        continue
+                    apply_move(g, kind, 0)
+                face_of = g.face_walk()[1]
+                ports = sorted(4 * n + s for n in g.nodes for s in range(4))
+                want = _dict_face_of(g.conn, ports)
+                assert face_of == [want.get(h, -1) for h in range(4 * max(g.nodes) + 4)]
+                removed = {h for h in range(len(face_of)) if h >> 2 not in g.nodes}
+                assert {h for h, f in enumerate(face_of) if f < 0} == removed
+                holes += len(removed)
+    assert holes  # some removed node lies below the last one
 
 
 def test_alternating_matches_the_strand_passages():
@@ -386,7 +439,7 @@ def test_face_color_cross_check_is_live(monkeypatch):
     for field in diagram._Resolved.__slots__:
         setattr(bad, field, getattr(real, field))
     # corners 0 and 1 of crossing 0 lie in faces of opposite colors; swap them
-    f0, f1 = real.face_of_corner[0][0], real.face_of_corner[1][0]
+    f0, f1 = real.face_of_corner[0], real.face_of_corner[1]
     assert f0 != f1
     swap = {0: 1, 1: 0}  # corners 4 * crossing + k
     bad.faces = tuple(

@@ -105,7 +105,7 @@ def test_deleted_faces_match_a_per_edge_scan():
         rr = _valid(pd)
         best = -1
         for u, v in rr.occ.values():
-            pair = (rr.face_of_corner[u][0], rr.face_of_corner[v][0])
+            pair = (rr.face_of_corner[u], rr.face_of_corner[v])
             size = len(rr.faces[pair[0]]) + len(rr.faces[pair[1]])
             if size > best:
                 best, want = size, pair

@@ -22,6 +22,7 @@ from knotlab.moves import (
     MoveError,
     _counted_sites,
     _r2_add_sites,
+    _spliceable,
     apply_move,
     move_candidates,
     reidemeister_perturb,
@@ -278,6 +279,72 @@ def test_counted_sites_match_the_candidate_lists():
             assert [pick(i) for i in range(n)] == sites, (kind, pd)
         r2_add = move_candidates(g, "r2+")
         assert list(_r2_add_sites(g, len(r2_add) // 3)) == r2_add[len(r2_add) // 3 :]
+
+
+def _loop_r1_remove(g):
+    out = []
+    for face in g.faces():
+        if len(face) == 1 and _spliceable(g, {face[0] >> 2}):
+            h = face[0]
+            out.append((h, g.conn[h]))
+    out.sort()
+    return out
+
+
+def _loop_r2_remove(g):
+    out = []
+    if len(g.nodes) < 3:
+        return out
+    for face in g.faces():
+        if len(face) != 2:
+            continue
+        h1, h2 = sorted(face)
+        n1, n2 = h1 >> 2, h2 >> 2
+        if n1 == n2:
+            continue
+        if (h1 ^ g.conn[h1]) & 1:
+            continue
+        if not _spliceable(g, {n1, n2}):
+            continue
+        out.append((h1, h2))
+    out.sort()
+    return out
+
+
+def _loop_r3(g):
+    out = []
+    for face in g.faces():
+        if len(face) != 3 or len({h >> 2 for h in face}) != 3:
+            continue
+        if not any(h & g.conn[h] & 1 for h in face):
+            continue
+        k = face.index(min(face))
+        out.append(face[k:] + face[:k])
+    out.sort()
+    return out
+
+
+def _loop_r2_add_count(g):
+    faces, _, same_wire = g.face_walk()
+    return 2 * (sum(len(face) * (len(face) - 1) // 2 for face in faces) - same_wire)
+
+
+def test_one_sweep_matches_the_per_kind_loops():
+    """The one sweep lists what a loop over the faces per kind lists, and
+    counts the r2+ sites as the sum over faces did, on 300 seeded rewrites."""
+    loops = {"r1-": _loop_r1_remove, "r2-": _loop_r2_remove, "r3": _loop_r3}
+    seen = dict.fromkeys(loops, 0)
+    for rec in bundled_table():
+        for seed in range(20):
+            g = StrandGraph.from_diagram(reidemeister_perturb(rec.pd, moves=6, seed=seed))
+            for kind, loop in loops.items():
+                want = loop(g)
+                assert move_candidates(g, kind) == want, (rec.name, seed, kind)
+                n, pick = _counted_sites(g, kind)
+                assert [pick(i) for i in range(n)] == want, (rec.name, seed, kind)
+                seen[kind] += len(want)
+            assert _counted_sites(g, "r2+")[0] == _loop_r2_add_count(g), (rec.name, seed)
+    assert all(seen.values()), seen
 
 
 def test_every_r3_site_is_pinned():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from knotlab import seifert
+from knotlab import invariants, seifert
 from knotlab.constructions import rational_knot, torus_2n
 from knotlab.diagram import InconsistencyError, ValidationError, is_alternating, parse_pd
 from knotlab.invariants import genus_lower_bound
@@ -91,3 +91,42 @@ def test_alternating_genus_check_is_live(monkeypatch):
             incompressibility_certificate(pd)
     # a diagram that does not alternate is not held to the equality
     incompressibility_certificate(reidemeister_perturb(TREFOIL, moves=8, seed=3))
+
+
+def test_span_bound_check_is_live(monkeypatch):
+    """A span-equality diagram with one Seifert circle too many has a
+    surface of genus below span/2, which no Seifert surface has: refused."""
+    real = seifert.seifert_circles
+
+    def overcounted(pd):
+        dec = real(pd)
+        return dec._replace(circle_count=dec.circle_count + 1)
+
+    kinked = [reidemeister_perturb(pd, moves=[("r1+", 0)]) for pd in (TREFOIL, torus_2n(5))]
+    for pd in kinked:
+        assert incompressibility_certificate(pd).method == "span-equality"
+    monkeypatch.setattr(seifert, "seifert_circles", overcounted)
+    for pd in kinked:
+        with pytest.raises(InconsistencyError, match=r"Seifert genus \S+ is below span/2"):
+            incompressibility_certificate(pd)
+
+
+def test_signature_bound_check_is_live(monkeypatch):
+    """A signature whose absolute value passes C - s + 1, the smoothing's
+    2g, is refused on every certificate path."""
+    real = invariants.invariant_tuple
+    inflated = {}
+
+    def oversigned(pd):
+        tup = real(pd)
+        return tup._replace(signature=-inflated[pd])
+
+    monkeypatch.setattr(invariants, "invariant_tuple", oversigned)
+    for pd in (
+        TREFOIL,  # alternating
+        reidemeister_perturb(TREFOIL, moves=[("r1+", 0)]),  # span-equality
+        reidemeister_perturb(TREFOIL, moves=8, seed=3),  # none
+    ):
+        inflated[pd] = 2 * seifert_genus(pd) + 2
+        with pytest.raises(InconsistencyError, match=r"\|signature\|/2 = \d+"):
+            incompressibility_certificate(pd)
