@@ -206,10 +206,9 @@ def carries_closed_surface(model):
         return n > 0
     rows = branch_equations(model)
     sided = _curve_sides(model)
-    if len(sided) < n:
-        keep = [k for k, sid in enumerate(model.sector_ids()) if sid in sided]
-        rows = [[row[k] for k in keep] for row in rows]
-    return _feasible_positive(rows, len(sided))
+    keep = [k for k, sid in enumerate(model.sector_ids()) if sid in sided]
+    rows = [[row[k] for k in keep] for row in rows]
+    return _feasible_positive(rows, len(keep))
 
 
 def transversely_orientable(model):

@@ -12,7 +12,8 @@ site uniformly in that kind's deterministic candidate order.  The faces are
 walked once per graph state (``StrandGraph.face_walk`` remembers the walk
 until the next mutation), and one sweep over that walk's faces serves every
 kind: it lists the r1-, r2- and r3 sites and counts the r2+ sites from the
-face sizes and the walk's count of wires with one face on both sides.  r1+
+face sizes and the walk's count of wires with one face on both sides.  An
+explicit r1+ or r2+ move needs no removal probes and skips the sweep.  r1+
 and r2+ sites, the many, are counted and only the drawn one is built; it is
 the site ``move_candidates`` lists at the drawn index, so the listed and the
 drawn sites are the same.
@@ -173,12 +174,11 @@ def _sweep(g):
     the faces of g's current walk, as a dict by kind.
 
     The pass lists the r1- sites (monogons), r2- sites (bigons) and r3 sites
-    (triangles), each sorted, and counts the r2+ sites: two variants per pair
-    of sides of a face, less the pairs that are one wire seen from both sides
-    (a wire bounds one face on both sides only in a rotation system that is
-    not planar).  r1+ and r2+ sites, the many, are built only when asked for.
+    (triangles), each sorted, and counts the pairs of sides of one face that
+    the r2+ sites are made from.  r1+ and r2+ sites, the many, are built only
+    when asked for.
     """
-    faces, _, same = g.face_walk()
+    faces = g.face_walk()[0]
     conn = g.conn
     bigons = len(g.nodes) >= 3  # an r2- must leave at least one crossing
     r1, r2, r3 = [], [], []
@@ -205,17 +205,30 @@ def _sweep(g):
     r2.sort()
     r3.sort()
     return {
-        "r1+": (2 * len(conn), lambda i: (g.wires()[i // 4], i % 4)),
+        "r1+": _counted_sites(g, "r1+"),
         "r1-": (len(r1), r1.__getitem__),
-        "r2+": (2 * (pairs - same), lambda i: next(_r2_add_sites(g, i))),
+        "r2+": _r2_add_counted(g, pairs),
         "r2-": (len(r2), r2.__getitem__),
         "r3": (len(r3), r3.__getitem__),
     }
 
 
+def _r2_add_counted(g, pairs):
+    """(number of r2+ sites, site at an index), given the number of pairs of
+    sides of one face in g's walk: two variants per pair, less the pairs that
+    are one wire seen from both sides (a wire bounds one face on both sides
+    only in a rotation system that is not planar)."""
+    return 2 * (pairs - g.face_walk()[2]), lambda i: next(_r2_add_sites(g, i))
+
+
 def _counted_sites(g, kind):
     """(number of sites, site at an index) of one kind, as move_candidates
-    lists them."""
+    lists them.  r1+ and r2+ need no removal probes, so only the other kinds
+    run the sweep."""
+    if kind == "r1+":
+        return 2 * len(g.conn), lambda i: (g.wires()[i // 4], i % 4)
+    if kind == "r2+":
+        return _r2_add_counted(g, sum(len(f) * (len(f) - 1) // 2 for f in g.face_walk()[0]))
     if kind not in MOVE_KINDS:
         raise MoveError(f"unknown move kind {kind!r}")
     return _sweep(g)[kind]
@@ -290,7 +303,9 @@ def reidemeister_perturb(pd, moves=10, seed=0):
     the diagram has at most max(2n, n + 8) - 2 crossings, and each only while
     its result stays within MAX_CROSSINGS.  The faces are walked once per
     graph state, and r1+ and r2+ sites are counted and only the drawn one is
-    built; it is the site ``move_candidates`` lists at the drawn index.
+    built; it is the site ``move_candidates`` lists at the drawn index.  The
+    graph is compacted after each move, so a step costs what the current
+    diagram costs, however long the move history.
 
     Raises MoveError when an explicit move is inapplicable or would pass
     MAX_CROSSINGS, and ValidationError on an invalid input diagram (tracing
@@ -305,9 +320,11 @@ def reidemeister_perturb(pd, moves=10, seed=0):
         cap = max(2 * len(pd), len(pd) + 8)
         for _ in range(moves):
             _random_step(g, rng, cap)
+            g.compact()
     else:
         for kind, index in moves:
             apply_move(g, kind, index)
+            g.compact()
     out = g.to_diagram()
     report = validate(out)
     if not report.ok:

@@ -10,7 +10,8 @@ Tracing a fully wired graph orients every strand, numbers
 the edges consecutively along each component and emits a PD diagram, so code
 that builds or mutates graphs never has to manage edge labels itself.  The
 face walk of a graph state is kept until the next mutation; its face_of list,
-indexed by port, holds -1 at the ports of removed nodes.
+indexed by port, holds -1 at the ports of removed nodes.  Node ids are never
+reused, so ``compact`` renumbers them in order once most ids are unused.
 """
 
 from __future__ import annotations
@@ -71,6 +72,24 @@ class StrandGraph:
             if p in self.conn:
                 raise WiringError("remove_node on a wired node")
         self.nodes.remove(nid)
+        self._walk = None
+
+    def compact(self):
+        """Renumber the nodes 0, 1, ... in their order once removed nodes
+        leave more than half of the ids unused, so a face walk's face_of
+        stays within twice the live ports however many nodes came and went.
+
+        Ports keep their order, so every sorted listing and every traced
+        diagram is unchanged; ports held from before it are stale.
+        """
+        if self._next <= 2 * len(self.nodes):
+            return
+        rank = {nid: k for k, nid in enumerate(sorted(self.nodes))}
+        self.conn = {
+            4 * rank[u >> 2] + (u & 3): 4 * rank[v >> 2] + (v & 3) for u, v in self.conn.items()
+        }
+        self.nodes = set(rank.values())
+        self._next = len(rank)
         self._walk = None
 
     def wires(self):

@@ -23,6 +23,7 @@ from knotlab.moves import (
     _counted_sites,
     _r2_add_sites,
     _spliceable,
+    _sweep,
     apply_move,
     move_candidates,
     reidemeister_perturb,
@@ -337,13 +338,16 @@ def test_one_sweep_matches_the_per_kind_loops():
     for rec in bundled_table():
         for seed in range(20):
             g = StrandGraph.from_diagram(reidemeister_perturb(rec.pd, moves=6, seed=seed))
+            swept = _sweep(g)
             for kind, loop in loops.items():
                 want = loop(g)
                 assert move_candidates(g, kind) == want, (rec.name, seed, kind)
-                n, pick = _counted_sites(g, kind)
+                n, pick = swept[kind]
                 assert [pick(i) for i in range(n)] == want, (rec.name, seed, kind)
                 seen[kind] += len(want)
-            assert _counted_sites(g, "r2+")[0] == _loop_r2_add_count(g), (rec.name, seed)
+            r2_add = _loop_r2_add_count(g)
+            assert swept["r2+"][0] == _counted_sites(g, "r2+")[0] == r2_add, (rec.name, seed)
+            assert swept["r1+"][0] == _counted_sites(g, "r1+")[0], (rec.name, seed)
     assert all(seen.values()), seen
 
 
@@ -364,3 +368,28 @@ def test_every_r3_site_is_pinned():
             applied += 1
     assert applied == 110
     assert h.hexdigest() == "0b7fe9c43b6e7a0826c79f4eee6a07b7f7242cb49878ec98fff0ecb15d97cbd5"
+
+
+def test_long_perturbations_are_compacted():
+    """Node ids are never reused, so a long rewrite keeps taking new ones
+    while the crossing cap keeps its diagram small.  Compacting after each
+    move keeps every face walk within twice the live ports and changes no
+    output."""
+    longest = []
+    walk = StrandGraph.face_walk
+
+    def measured(g):
+        longest.append(len(walk(g)[1]) / (8 * len(g.nodes)))
+        return walk(g)
+
+    outputs = [reidemeister_perturb(TREFOIL, moves=400, seed=s) for s in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StrandGraph, "face_walk", measured)
+        reidemeister_perturb(TREFOIL, moves=400, seed=0)
+        reidemeister_perturb(TREFOIL, moves=[("r1+", 0), ("r1-", 0)] * 100)
+        assert max(longest) <= 1
+        mp.setattr(StrandGraph, "compact", lambda g: None)
+        assert [reidemeister_perturb(TREFOIL, moves=400, seed=s) for s in range(3)] == outputs
+        longest.clear()
+        reidemeister_perturb(TREFOIL, moves=400, seed=0)
+        assert max(longest) > 4  # without it, the walk grows with the history

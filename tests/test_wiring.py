@@ -6,7 +6,7 @@ import pytest
 
 from knotlab.diagram import _face_orbits, faces, parse_pd, serialize_pd, validate
 from knotlab.knotdb import bundled_table
-from knotlab.moves import apply_move, reidemeister_perturb
+from knotlab.moves import apply_move, move_candidates, reidemeister_perturb
 from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
@@ -173,6 +173,35 @@ def test_faces_are_forgotten_on_every_mutation():
         _assert_fresh_faces(g)
         apply_move(g, kind, 0)
         _assert_fresh_faces(g)
+
+
+def test_compact_renumbers_in_order_once_most_ids_are_unused():
+    g = StrandGraph.from_diagram(TREFOIL)
+    apply_move(g, "r1+", 0)
+    conn = g.conn
+    g.compact()  # ids 0..3 all in use: nothing to do
+    assert g.conn is conn and g.nodes == {0, 1, 2, 3}
+
+    g = StrandGraph.from_diagram(TREFOIL)
+    for nid in [g.add_node() for _ in range(5)]:
+        g.remove_node(nid)
+    apply_move(g, "r1+", 0)  # the kink takes id 8: 4 of 9 ids in use
+    assert g.nodes == {0, 1, 2, 8}
+    pd, wires, faces = g.to_diagram(), g.wires(), g.faces()
+    sites = {kind: move_candidates(g, kind) for kind in ("r1-", "r2-", "r3")}
+    g.compact()
+    assert g.nodes == {0, 1, 2, 3}
+
+    def moved(p):
+        return 4 * {0: 0, 1: 1, 2: 2, 8: 3}[p >> 2] + (p & 3)
+
+    assert g.to_diagram() == pd
+    assert g.wires() == [(moved(u), moved(v)) for u, v in wires]
+    assert g.faces() == [tuple(map(moved, f)) for f in faces]
+    assert len(g.face_walk()[1]) == 16
+    assert sites["r1-"] and move_candidates(g, "r1-") == [tuple(map(moved, s)) for s in sites["r1-"]]
+    _assert_fresh_faces(g)
+    assert g.add_node() == 4
 
 
 def test_malformed_ports_are_refused():
