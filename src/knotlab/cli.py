@@ -3,8 +3,13 @@
 Every informational subcommand prints a deterministic key/value report
 (one `key value` pair per line, repeated keys allowed) or, with --json,
 the same payload as a JSON object with repeated keys collected into lists.
-`construct` subcommands print raw PD text so their output pipes straight
-into file-consuming subcommands.  Exit codes: 0 ok, 1 domain error,
+`construct` subcommands take no --json and print raw PD text, so their
+output pipes straight into file-consuming subcommands.
+
+One command path serves them all: each `_cmd_*(args, rep)` only adds pairs
+to the report `main` made, and returns "error" if that report is a failure.
+`main` emits once, replacing the report by `command`, `error` and `status
+error` on a KnotlabError or OSError.  Exit codes: 0 ok, 1 domain error,
 2 usage error.
 
 Only `construct` and `paperlist --check` import the construction code, and
@@ -55,7 +60,8 @@ class _Report:
                 print(f"{k} {v}".rstrip())
 
 
-def _read_input(path):
+def _read_input(path, rep):
+    """The text of a file or of stdin ('-'); its digest goes into the report."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -67,20 +73,22 @@ def _read_input(path):
     except UnicodeError as e:
         source = "stdin" if path == "-" else repr(path)
         raise ParseError(f"input {source} is not UTF-8 text: {e.reason}") from None
-    return text, f"sha256:{hashlib.sha256(data).hexdigest()}"
+    rep.add("input", f"sha256:{hashlib.sha256(data).hexdigest()}")
+    return text
 
 
-def _cmd_validate(args):
-    text, digest = _read_input(args.file)
-    rep = _Report("validate")
-    rep.add("input", digest)
+def _read_pd(args, rep):
+    return parse_pd(_read_input(args.file, rep))
+
+
+def _cmd_validate(args, rep):
+    text = _read_input(args.file, rep)
     try:
         pd = parse_pd(text)
     except KnotlabError as e:
         rep.add("valid", False)
         rep.add("failure", str(e))
-        rep.emit(args.json)
-        return 0
+        return
     report = validate(pd)
     rep.add("valid", report.ok)
     rep.add("crossings", report.crossing_count)
@@ -89,39 +97,26 @@ def _cmd_validate(args):
         rep.add("faces", report.face_count)
     for f in report.failures:
         rep.add("failure", f)
-    rep.emit(args.json)
-    return 0
 
 
-def _cmd_invariants(args):
-    text, digest = _read_input(args.file)
-    pd = parse_pd(text)
-    tup = invariant_tuple(pd)
-    rep = _Report("invariants")
-    rep.add("input", digest)
+def _cmd_invariants(args, rep):
+    tup = invariant_tuple(_read_pd(args, rep))
     rep.add("alexander", " ".join(str(c) for c in tup.alexander.coeffs))
     rep.add("det", tup.determinant)
     rep.add("sig", tup.signature)
     rep.add("genus_bound", tup.genus_lower_bound)
-    rep.emit(args.json)
-    return 0
 
 
-def _cmd_seifert(args):
-    text, digest = _read_input(args.file)
-    pd = parse_pd(text)
+def _cmd_seifert(args, rep):
+    pd = _read_pd(args, rep)
     dec = seifert_circles(pd)
     cert = incompressibility_certificate(pd)
-    rep = _Report("seifert")
-    rep.add("input", digest)
     rep.add("circles", dec.circle_count)
     rep.add("genus", dec.genus)
     rep.add("cert_method", cert.method)
     rep.add("cert_genus", cert.seifert_genus)
     rep.add("cert_span_half", cert.span_half)
     rep.add("certified", cert.certified)
-    rep.emit(args.json)
-    return 0
 
 
 def _parse_cf(text):
@@ -134,7 +129,7 @@ def _parse_cf(text):
         raise constructions.ConstructionError(f"bad continued fraction {text!r}") from e
 
 
-def _cmd_construct(args):
+def _cmd_construct(args, rep):
     from . import constructions
 
     if args.kind == "torus":
@@ -144,24 +139,18 @@ def _cmd_construct(args):
     elif args.kind == "rational":
         pd = constructions.rational_knot(_parse_cf(args.cf))
     elif args.kind == "cable2":
-        text, _ = _read_input(args.file)
-        pd = constructions.cable2(parse_pd(text), args.f)
+        pd = constructions.cable2(_read_pd(args, rep), args.f)
     elif args.kind == "double":
-        text, _ = _read_input(args.file)
-        spec = constructions.DoubleSpec(parse_pd(text), args.twists, args.clasp)
+        spec = constructions.DoubleSpec(_read_pd(args, rep), args.twists, args.clasp)
         pd = constructions.whitehead_double(spec)
     else:
         pd, _ = constructions.paper_family(args.n)
     print(serialize_pd(pd))
-    return 0
 
 
-def _cmd_bf(args):
-    rep = _Report("bf")
+def _cmd_bf(args, rep):
     if args.model is not None:
-        text, digest = _read_input(args.model)
-        rep.add("input", digest)
-        model = parse_model(text)
+        model = parse_model(_read_input(args.model, rep))
     else:
         rep.add("genus", args.genus)
         model = build_bf(args.genus)
@@ -181,8 +170,6 @@ def _cmd_bf(args):
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(serialize_model(model))
         rep.add("wrote", args.out)
-    rep.emit(args.json)
-    return 0
 
 
 def _resolve_table(path_arg):
@@ -193,25 +180,19 @@ def _resolve_table(path_arg):
     return bundled_table(), "bundled"
 
 
-def _cmd_identify(args):
-    text, digest = _read_input(args.file)
-    pd = parse_pd(text)
+def _cmd_identify(args, rep):
+    pd = _read_pd(args, rep)
     table, source = _resolve_table(args.table)
     result = identify(pd, table)
-    rep = _Report("identify")
-    rep.add("input", digest)
     rep.add("table", source)
     for name, chirality in result.matches:
         rep.add("match", f"{name} {chirality}")
     rep.add("matches", len(result.matches))
     rep.add("ambiguous", result.ambiguous)
-    rep.emit(args.json)
-    return 0
 
 
-def _cmd_paperlist(args):
+def _cmd_paperlist(args, rep):
     names = paper_list()
-    rep = _Report("paperlist")
     rep.add("count", len(names))
     if args.check:
         from . import constructions
@@ -228,8 +209,7 @@ def _cmd_paperlist(args):
                 failures.append(expected)
         if failures:
             rep.add("error", f"paper list check failed for {failures}")
-            rep.emit(args.json, status="error")
-            return 1
+            return "error"
     else:
         def key(n):
             a, b = n.split("_")
@@ -237,8 +217,6 @@ def _cmd_paperlist(args):
 
         for name in sorted(names, key=key):
             rep.add("name", name)
-    rep.emit(args.json)
-    return 0
 
 
 def _build_parser():
@@ -249,15 +227,22 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def with_file(sp):
-        sp.add_argument("file", nargs="?", default="-", help="PD file ('-' = stdin)")
+    def reporting(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--json", action="store_true", help="emit the report as JSON")
+        return sp
 
-    with_file(sub.add_parser("validate", help="check a PD file"))
-    with_file(sub.add_parser("invariants", help="Alexander/determinant/signature/genus"))
-    with_file(sub.add_parser("seifert", help="Seifert circles, genus, certificate"))
+    for name, run, help in (
+        ("validate", _cmd_validate, "check a PD file"),
+        ("invariants", _cmd_invariants, "Alexander/determinant/signature/genus"),
+        ("seifert", _cmd_seifert, "Seifert circles, genus, certificate"),
+    ):
+        reporting(name, run, help).add_argument(
+            "file", nargs="?", default="-", help="PD file ('-' = stdin)")
 
     c = sub.add_parser("construct", help="emit a constructed diagram as PD text")
+    c.set_defaults(run=_cmd_construct)
     csub = c.add_subparsers(dest="kind", required=True)
     t = csub.add_parser("torus", help="(2,n) torus knot")
     t.add_argument("--n", type=int, required=True)
@@ -275,49 +260,38 @@ def _build_parser():
     fam = csub.add_parser("family", help="n-th doubled knot of the twist-knot family")
     fam.add_argument("--n", type=int, required=True)
 
-    b = sub.add_parser("bf", help="branched-surface model and certificate")
+    b = reporting("bf", _cmd_bf, "branched-surface model and certificate")
     source = b.add_mutually_exclusive_group(required=True)
     source.add_argument("--genus", type=int)
     source.add_argument("--model", help="read a model file instead of building")
     b.add_argument("--certified", action="store_true",
                    help="assert the spanning surface's incompressibility certificate")
     b.add_argument("--out", default=None, help="also write the model file")
-    b.add_argument("--json", action="store_true")
 
-    ident = sub.add_parser("identify", help="match a diagram against the knot table")
+    ident = reporting("identify", _cmd_identify, "match a diagram against the knot table")
     ident.add_argument("file", nargs="?", default="-")
     ident.add_argument("--table", default=None,
                        help="table file (default: $KNOTLAB_TABLE or the bundled table)")
-    ident.add_argument("--json", action="store_true")
 
-    pl = sub.add_parser("paperlist", help="the published persistent-lamination name list")
+    pl = reporting("paperlist", _cmd_paperlist, "the published persistent-lamination name list")
     pl.add_argument("--check", action="store_true",
                     help="rebuild the doubled family and verify it lands in the list")
-    pl.add_argument("--json", action="store_true")
     return p
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "invariants": _cmd_invariants,
-    "seifert": _cmd_seifert,
-    "construct": _cmd_construct,
-    "bf": _cmd_bf,
-    "identify": _cmd_identify,
-    "paperlist": _cmd_paperlist,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    rep = _Report(args.cmd)
     try:
-        return _DISPATCH[args.cmd](args)
+        status = args.run(args, rep) or "ok"
     except (KnotlabError, OSError) as e:
         rep = _Report(args.cmd)
         rep.add("error", str(e))
-        rep.emit(getattr(args, "json", False), status="error")
-        return 1
+        status = "error"
+    # construct has no --json: it prints PD text and reports only a failure
+    if status == "error" or hasattr(args, "json"):
+        rep.emit(getattr(args, "json", False), status)
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":

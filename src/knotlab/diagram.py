@@ -69,7 +69,13 @@ class PlanarDiagram:
 
     def __init__(self, crossings):
         # the resolve cache hashes diagrams, so a list of crossings must not stay a list
-        object.__setattr__(self, "crossings", tuple(crossings))
+        crossings = tuple(crossings)
+        # and finds them by equality, where 1 == 1.0 == True: only int labels
+        # keep a diagram from being handed an equal one's resolution
+        if not set(map(type, chain.from_iterable(crossings))) <= {int}:
+            bad = next(v for v in chain.from_iterable(crossings) if v.__class__ is not int)
+            raise ValidationError(f"edge label {bad!r} is not an int")
+        object.__setattr__(self, "crossings", crossings)
 
     # the resolve cache compares and hashes a diagram per lookup
     def __eq__(self, other):

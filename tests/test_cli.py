@@ -9,10 +9,11 @@ import warnings
 import pytest
 
 from knotlab.branched import build_bf, parse_model
+from knotlab import cli
 from knotlab.cli import main
 from knotlab.constructions import rational_knot
 from knotlab.diagram import parse_pd, serialize_pd, validate
-from knotlab.knotdb import bundled_table, serialize_table
+from knotlab.knotdb import bundled_table, paper_list, serialize_table
 
 TREFOIL_PD = "X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3\n"
 
@@ -323,3 +324,60 @@ def test_paperlist(capsys):
     assert "family 1 8_1 ok" in out
     assert "family 2 10_1 ok" in out
     assert "status ok" in out
+
+
+def test_errors_after_reading_replace_the_report(capsys, tmp_path, trefoil_file):
+    link = tmp_path / "link.pd"
+    link.write_text("X 1,4,2,3\nX 3,2,4,1\n", encoding="utf-8")
+    model = tmp_path / "dup.model"
+    model.write_text("sector A -1\nsector A -1\n", encoding="utf-8")
+    missing = tmp_path / "missing"
+    with pytest.raises(OSError) as err:
+        open(missing, encoding="utf-8")
+    cases = [
+        (["invariants", str(link)], "expected a knot, got 2 components"),
+        (["seifert", str(link)], "expected a knot, got 2 components"),
+        (["identify", "--table", str(missing), trefoil_file], str(err.value)),
+        (["bf", "--model", str(model)], "duplicate sector ids"),
+    ]
+    for argv, error in cases:
+        # the input was read and digested, but an error report has no input line
+        rc, out = run(capsys, argv)
+        assert rc == 1, argv
+        assert out == f"command {argv[0]}\nerror {error}\nstatus error\n", argv
+        rc, out = run(capsys, [*argv, "--json"])
+        assert rc == 1, argv
+        assert json.loads(out) == {"command": argv[0], "error": error, "status": "error"}, argv
+
+
+def test_paperlist_check_failure_exits_1(capsys, monkeypatch):
+    names = paper_list() - {"8_1"}
+    monkeypatch.setattr(cli, "paper_list", lambda: names)
+    rc, out = run(capsys, ["paperlist", "--check"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["command paperlist", "count 113"]
+    assert "family 0 6_1 ok" in lines and "family 2 10_1 ok" in lines
+    assert "family 1 8_1 FAIL" in lines
+    assert "error paper list check failed for ['8_1']" in lines
+    assert lines[-1] == "status error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["invariants"], ["seifert"], ["bf", "--genus", "2"], ["identify"], ["paperlist"]],
+    ids=" ".join,
+)
+def test_json_report_matches_text_report(capsys, monkeypatch, argv):
+    def report(extra):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TREFOIL_PD))
+        rc, out = run(capsys, argv + extra)
+        assert rc == 0
+        return out
+
+    pairs = {}
+    for line in report([]).splitlines():
+        key, _, value = line.partition(" ")
+        pairs.setdefault(key, []).append(value)
+    folded = {k: v[0] if len(v) == 1 else v for k, v in pairs.items()}
+    assert json.loads(report(["--json"])) == folded

@@ -59,6 +59,15 @@ def test_diagram_built_from_a_list_is_a_tuple_diagram():
     assert invariant_tuple(from_list) == invariant_tuple(pd)
 
 
+@pytest.mark.parametrize("label", [1.0, True, "1", None], ids=repr)
+def test_diagram_refuses_labels_that_are_not_ints(label):
+    # 1 == 1.0 == True: a diagram equal to the trefoil would be handed the
+    # trefoil's cached resolution, so the label is refused when it is built
+    first, *rest = parse_pd(TREFOIL).crossings
+    with pytest.raises(ValidationError, match="is not an int"):
+        PlanarDiagram([first._replace(a=label), *rest])
+
+
 def test_parse_accepts_comment_and_spacing_noise():
     pd = parse_pd("# a knot\nX 1,4,2,5\n\nX  3, 6 ,4,1\nX 5 , 2 , 6 , 3\n")
     assert pd == parse_pd(TREFOIL)
