@@ -22,7 +22,7 @@ from collections import namedtuple
 from math import gcd
 
 from .diagram import MAX_CROSSINGS, KnotlabError, validate, writhe
-from .diagram import _occurrences, _valid, _validated_make
+from .diagram import _occurrences, _require_knot, _validated_make
 from .wiring import StrandGraph
 
 
@@ -147,8 +147,10 @@ def _close(g, t, numerator):
 
 def _validated_knot(pd, what):
     report = validate(pd)
-    if not report.ok or report.component_count != 1:
+    if not report.ok:
         raise ConstructionError(f"{what} failed validation: {report.failures}")
+    if report.component_count != 1:
+        raise ConstructionError(f"{what} has {report.component_count} components, not 1")
     return pd
 
 
@@ -242,7 +244,7 @@ def _doubled_with_gap(pd):
 
 def cable2(pd, f):
     """(2,f)-cable of the companion: 2-parallel plus f - 2*writhe half-twists."""
-    _valid(pd)
+    _require_knot(pd)
     if f % 2 == 0:
         raise ConstructionError(f"(2,{f}) cable is a 2-component link; f must be odd")
     j = f - 2 * writhe(pd)  # odd, so the cut always gets a twist region
@@ -272,7 +274,7 @@ class DoubleSpec(namedtuple("DoubleSpec", "companion twists clasp")):
 
 def whitehead_double(spec):
     """Twisted Whitehead double: 2-parallel closed by a clasp-and-twists tangle."""
-    _valid(spec.companion)
+    _require_knot(spec.companion)
     inserted = 2 * spec.twists - 2 * writhe(spec.companion)
     g, out = _doubled_with_gap(spec.companion)
     t = _twist(g, _chain(g, 2, spec.clasp > 0, _stack), inserted, _join)

@@ -58,6 +58,12 @@ class Crossing(namedtuple("Crossing", "a b c d")):
         return (self.a, self.b, self.c, self.d)
 
 
+def _crossing(x):
+    if isinstance(x, tuple) and len(x) == 4:
+        return Crossing(*x)
+    raise ValidationError(f"crossing {x!r} is not a tuple of four edge labels")
+
+
 class PlanarDiagram:
     """The crossings of a diagram, in input order.
 
@@ -70,8 +76,11 @@ class PlanarDiagram:
     def __init__(self, crossings):
         # the resolve cache hashes diagrams, so a list of crossings must not stay a list
         crossings = tuple(crossings)
-        # and finds them by equality, where 1 == 1.0 == True: only int labels
-        # keep a diagram from being handed an equal one's resolution
+        # crossings are read by field name, so a plain 4-tuple becomes a Crossing
+        if not set(map(type, crossings)) <= {Crossing}:
+            crossings = tuple(map(_crossing, crossings))
+        # the cache finds diagrams by equality, where 1 == 1.0 == True: only
+        # int labels keep a diagram from being handed an equal one's resolution
         if not set(map(type, chain.from_iterable(crossings))) <= {int}:
             bad = next(v for v in chain.from_iterable(crossings) if v.__class__ is not int)
             raise ValidationError(f"edge label {bad!r} is not an int")

@@ -3,6 +3,8 @@
 Moves are enumerated as deterministic candidate lists per kind ("r1+", "r1-",
 "r2+", "r2-", "r3") and applied to a StrandGraph.  Every listed site is viable:
 a removal site is kept only when its splice would strand no crossingless loop.
+A kink is judged by its node's wiring, and a bigon by probing its splice with
+``StrandGraph.splice_pairs``.
 ``apply_move`` re-traces and re-validates the diagram after its move, and a
 random perturbation validates its input and its output, so a wiring mistake
 surfaces before it can corrupt downstream invariants.
@@ -175,8 +177,11 @@ def _sweep(g):
 
     The pass lists the r1- sites (monogons), r2- sites (bigons) and r3 sites
     (triangles), each sorted, and counts the pairs of sides of one face that
-    the r2+ sites are made from.  r1+ and r2+ sites, the many, are built only
-    when asked for.
+    the r2+ sites are made from.  A kink is judged by its node's wiring: its
+    splice strands a loop exactly when the node's other two ports are wired
+    to each other, the one-crossing figure eight.  A bigon is probed with
+    ``StrandGraph.splice_pairs``.  r1+ and r2+ sites, the many, are built
+    only when asked for.
     """
     faces = g.face_walk()[0]
     conn = g.conn
@@ -188,19 +193,27 @@ def _sweep(g):
         pairs += m * (m - 1) // 2
         if m == 1:
             h = face[0]  # a kink is a monogon: h wired to the next slot of its node
-            if _spliceable(g, {h >> 2}):
+            if conn[h ^ 2] >> 2 != h >> 2:  # the node's other two ports are not wired together
                 r1.append((h, conn[h]))
         elif m == 2:
-            h1, h2 = sorted(face)
+            h1, h2 = face
+            if h1 > h2:
+                h1, h2 = h2, h1
             n1, n2 = h1 >> 2, h2 >> 2
             # the strand must keep its level across the bigon
             if bigons and n1 != n2 and not (h1 ^ conn[h1]) & 1 and _spliceable(g, {n1, n2}):
                 r2.append((h1, h2))
-        elif m == 3 and len({h >> 2 for h in face}) == 3:
-            # a cyclic triangle has no strand running over both its crossings
-            if any(h & conn[h] & 1 for h in face):
-                k = face.index(min(face))
-                r3.append(face[k:] + face[:k])
+        elif m == 3:
+            h1, h2, h3 = face
+            n1, n2, n3 = h1 >> 2, h2 >> 2, h3 >> 2
+            # three crossings, and not cyclic: some strand runs over both of its
+            if n1 != n2 != n3 != n1 and (h1 & conn[h1] | h2 & conn[h2] | h3 & conn[h3]) & 1:
+                if h1 < h2 and h1 < h3:
+                    r3.append(face)
+                elif h2 < h3:
+                    r3.append((h2, h3, h1))
+                else:
+                    r3.append((h3, h1, h2))
     r1.sort()
     r2.sort()
     r3.sort()

@@ -45,7 +45,8 @@ class StrandGraph:
 
     def connect(self, u, v):
         for port in (u, v):
-            _check_port(port)
+            if port.__class__ is not int or port < 0:
+                _check_port(port)
             if port >> 2 not in self.nodes:
                 raise WiringError(f"no port {_named(port)} in the graph")
         if u == v:
@@ -57,7 +58,8 @@ class StrandGraph:
         self._walk = None
 
     def disconnect(self, u):
-        _check_port(u)
+        if u.__class__ is not int or u < 0:
+            _check_port(u)
         if u not in self.conn:
             raise WiringError(f"port {_named(u)} is not wired")
         v = self.conn.pop(u)
@@ -170,8 +172,9 @@ class StrandGraph:
     def to_diagram(self):
         """Trace strands, number edges consecutively, emit the PD diagram.
 
-        A wire's label is kept at the port the strand enters by, and each
-        crossing's slots start at the under port its node is entered by.
+        A wire's label is kept at the port the strand enters by, in a list
+        indexed by port up to the largest node id, and each crossing's slots
+        start at the under port its node is entered by.
         Once every port is wired, under ports 0 and 2 of a node lie on one
         traced strand, so the trace enters every node at an under port.
         """
@@ -181,22 +184,30 @@ class StrandGraph:
             for p in range(4 * nid, 4 * nid + 4):
                 if p not in conn:
                     raise WiringError(f"unwired port {_named(p)}")
-        label = {}
-        entered = {}
+        label = [0] * (4 * nodes[-1] + 4 if nodes else 0)  # by port; 0 is unlabeled
+        n = 0
         for nid in nodes:
             b = 4 * nid
             for port in (b, b + 2, b + 1, b + 3):
                 # enter a component at port unless its wire is labeled
-                while port not in label and conn[port] not in label:
-                    label[port] = len(label) + 1
-                    if not port & 1:
-                        entered[port >> 2] = port
+                while not label[port] and not label[conn[port]]:
+                    n += 1
+                    label[port] = n
                     port = conn[port ^ 2]
         crossings = []
         for nid in nodes:
-            u = entered[nid]  # slot 0 or 2, so the slots run u, u + 1, u ^ 2, (u ^ 2) + 1
-            ports = (u, u + 1, u ^ 2, (u ^ 2) + 1)
-            crossings.append(Crossing(*(label.get(q) or label[conn[q]] for q in ports)))
+            b = 4 * nid
+            u = b if label[b] else b + 2  # the under port the node is entered by
+            w = u ^ 2
+            # slots u, u + 1, w, w + 1; the under wires are labeled where they enter
+            crossings.append(
+                Crossing(
+                    label[u],
+                    label[u + 1] or label[conn[u + 1]],
+                    label[conn[w]],
+                    label[w + 1] or label[conn[w + 1]],
+                )
+            )
         return PlanarDiagram(tuple(crossings))
 
 

@@ -288,6 +288,17 @@ def test_construction_size_cap_exits_1(capsys, trefoil_file):
         assert out.endswith("exceeds the limit of 10000\nstatus error\n"), argv
 
 
+def test_link_companion_names_its_components(capsys, tmp_path):
+    hopf = tmp_path / "hopf.pd"
+    hopf.write_text("X 1,4,2,3\nX 3,2,4,1\n", encoding="utf-8")
+    for argv in (["cable2", "--f", "1"], ["double", "--twists", "2"]):
+        rc, out = run(capsys, ["construct", *argv, str(hopf)])
+        assert rc == 1, argv
+        assert out == (
+            "command construct\nerror expected a knot, got 2 components\nstatus error\n"
+        ), argv
+
+
 def test_empty_continued_fraction_exits_1(capsys):
     for cf in (",", " "):
         rc, out = run(capsys, ["construct", "rational", "--cf", cf])

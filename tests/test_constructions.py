@@ -206,6 +206,13 @@ def test_whitehead_double_companion_independent():
     assert len(keys) == 1  # untwisted-pattern invariants see only the twist count
 
 
+def test_a_link_result_names_its_component_count():
+    hopf = parse_pd("X 1,4,2,3\nX 3,2,4,1")
+    assert validate(hopf).ok
+    with pytest.raises(ConstructionError, match="cable has 2 components, not 1"):
+        constructions._validated_knot(hopf, "cable")
+
+
 def test_whitehead_double_crossing_count():
     for companion in (KINK, TREFOIL):
         for twists in (-2, 0, 3):

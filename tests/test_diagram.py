@@ -8,6 +8,7 @@ import pytest
 from knotlab import constructions, diagram
 from knotlab.diagram import (
     MAX_CROSSINGS,
+    Crossing,
     InconsistencyError,
     ParseError,
     PlanarDiagram,
@@ -66,6 +67,17 @@ def test_diagram_refuses_labels_that_are_not_ints(label):
     first, *rest = parse_pd(TREFOIL).crossings
     with pytest.raises(ValidationError, match="is not an int"):
         PlanarDiagram([first._replace(a=label), *rest])
+
+
+def test_diagram_turns_plain_tuples_into_crossings():
+    parsed = parse_pd(TREFOIL)
+    built = PlanarDiagram([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+    assert all(x.__class__ is Crossing for x in built.crossings)
+    assert serialize_pd(built) == serialize_pd(parsed) == TREFOIL + "\n"
+    assert seifert_circles(built) == seifert_circles(parsed)
+    for bad in ((1, 2, 3), (1, 2, 3, 4, 5), [1, 2, 3, 4], 7, None, "1234"):
+        with pytest.raises(ValidationError, match="is not a tuple of four edge labels"):
+            PlanarDiagram([bad])
 
 
 def test_parse_accepts_comment_and_spacing_noise():

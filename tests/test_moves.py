@@ -332,23 +332,38 @@ def _loop_r2_add_count(g):
 
 def test_one_sweep_matches_the_per_kind_loops():
     """The one sweep lists what a loop over the faces per kind lists, and
-    counts the r2+ sites as the sum over faces did, on 300 seeded rewrites."""
+    counts the r2+ sites as the sum over faces did, on 300 seeded rewrites,
+    the one-crossing figure eight and kinked rewrites.  A kink is judged by
+    its node's wiring, the loop probes its splice: both must agree on kinks
+    that can be removed and on the figure eight's, which cannot."""
     loops = {"r1-": _loop_r1_remove, "r2-": _loop_r2_remove, "r3": _loop_r3}
     seen = dict.fromkeys(loops, 0)
+    eight = parse_pd("X 1,2,2,1")
+    corpus = [("eight", eight)]
+    corpus.extend((("eight r1+", v), reidemeister_perturb(eight, [("r1+", v)])) for v in range(4))
     for rec in bundled_table():
-        for seed in range(20):
-            g = StrandGraph.from_diagram(reidemeister_perturb(rec.pd, moves=6, seed=seed))
-            swept = _sweep(g)
-            for kind, loop in loops.items():
-                want = loop(g)
-                assert move_candidates(g, kind) == want, (rec.name, seed, kind)
-                n, pick = swept[kind]
-                assert [pick(i) for i in range(n)] == want, (rec.name, seed, kind)
-                seen[kind] += len(want)
-            r2_add = _loop_r2_add_count(g)
-            assert swept["r2+"][0] == _counted_sites(g, "r2+")[0] == r2_add, (rec.name, seed)
-            assert swept["r1+"][0] == _counted_sites(g, "r1+")[0], (rec.name, seed)
+        corpus.extend(
+            ((rec.name, seed), reidemeister_perturb(rec.pd, moves=6, seed=seed))
+            for seed in range(20)
+        )
+        kinked = [("r1+", 0), ("r1+", 5), ("r1+", 11)]
+        corpus.append(((rec.name, "kinked"), reidemeister_perturb(rec.pd, kinked)))
+    kinks = 0
+    for where, pd in corpus:
+        g = StrandGraph.from_diagram(pd)
+        swept = _sweep(g)
+        for kind, loop in loops.items():
+            want = loop(g)
+            assert move_candidates(g, kind) == want, (where, kind)
+            n, pick = swept[kind]
+            assert [pick(i) for i in range(n)] == want, (where, kind)
+            seen[kind] += len(want)
+        kinks += sum(len(face) == 1 for face in g.faces())
+        r2_add = _loop_r2_add_count(g)
+        assert swept["r2+"][0] == _counted_sites(g, "r2+")[0] == r2_add, where
+        assert swept["r1+"][0] == _counted_sites(g, "r1+")[0], where
     assert all(seen.values()), seen
+    assert 0 < seen["r1-"] < kinks  # some kinks are viable and some are refused
 
 
 def test_every_r3_site_is_pinned():

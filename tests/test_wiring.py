@@ -204,6 +204,28 @@ def test_compact_renumbers_in_order_once_most_ids_are_unused():
     assert g.add_node() == 4
 
 
+def test_to_diagram_reads_past_gaps_in_node_ids():
+    """Labels are kept in a list indexed by port up to the largest node id:
+    with most ids unused, the trace is the one compact() leaves unchanged."""
+    g = StrandGraph.from_diagram(TREFOIL)
+    for _ in range(6):
+        apply_move(g, "r1+", 0)  # kinks on nodes 3..8
+    for nid in range(3, 8):
+        assert any(len(f) == 1 and f[0] >> 2 == nid for f in g.faces()), nid
+        g.splice_out({nid})
+    assert g.nodes == {0, 1, 2, 8}
+    pd = g.to_diagram()
+    assert validate(pd).ok and len(pd) == 4
+    g.compact()
+    assert g.nodes == {0, 1, 2, 3}
+    assert g.to_diagram() == pd
+
+    g = StrandGraph.from_diagram(TREFOIL)
+    assert g.disconnect(_port(1, 1)) == _port(2, 2)
+    with pytest.raises(WiringError, match=re.escape("unwired port 5 (node 1, slot 1)")):
+        g.to_diagram()
+
+
 def test_malformed_ports_are_refused():
     g = StrandGraph.from_diagram(TREFOIL)
     conn = dict(g.conn)
