@@ -21,6 +21,12 @@ class ModelError(KnotlabError):
 _RELATIONS = ("same", "opposite")
 
 
+# int() would truncate 1.5 and read "1", so a count that is not an int is refused.
+def _check_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{what} must be an int, not {value!r}")
+
+
 class BranchCurve(
     namedtuple("BranchCurve", "id merged_side sheet_sides self_intersections orientation_relation")
 ):
@@ -36,6 +42,7 @@ class BranchCurve(
             raise ModelError(f"curve {self.id}: need two sheet sides and two relations")
         if any(r not in _RELATIONS for r in self.orientation_relation):
             raise ModelError(f"curve {self.id}: relations must be 'same' or 'opposite'")
+        _check_int(self.self_intersections, f"curve {self.id}: self-intersection count")
         if self.self_intersections < 0:
             raise ModelError(f"curve {self.id}: negative self-intersection count")
         return self
@@ -52,9 +59,9 @@ class BranchedSurfaceModel(
     def __new__(cls, sectors, branch_curves, horizontal_boundary, compressing_disks):
         model = super().__new__(
             cls,
-            tuple((str(i), int(c)) for i, c in sectors),
+            tuple((str(i), c) for i, c in sectors),
             tuple(branch_curves),
-            tuple((str(i), int(g), int(n)) for i, g, n in horizontal_boundary),
+            tuple((str(i), g, n) for i, g, n in horizontal_boundary),
             tuple((str(d), str(b)) for d, b in compressing_disks),
         )
         _check(model)
@@ -89,6 +96,7 @@ def _check(model):
     # curve it is a side of (chi <= 1)
     sided = _curve_sides(model)
     for sid, chi in model.sectors:
+        _check_int(chi, f"sector {sid}: chi")
         if chi > 2:
             raise ModelError(f"sector {sid}: chi {chi} > 2 on a connected surface")
         if chi > 1 and sid in sided:
@@ -97,6 +105,8 @@ def _check(model):
     if len(set(bids)) != len(bids):
         raise ModelError("duplicate boundary component ids")
     for bid, genus, circles in model.horizontal_boundary:
+        _check_int(genus, f"boundary component {bid}: genus")
+        _check_int(circles, f"boundary component {bid}: circle count")
         if genus < 0 or circles < 0:
             raise ModelError(f"boundary component {bid}: negative genus or circle count")
     disks = [d for d, _ in model.compressing_disks]
@@ -115,6 +125,7 @@ def build_bf(g):
     boundary of two once-punctured genus-(g+1) components, each compressible
     by its own disk.
     """
+    _check_int(g, "genus")
     if g < 0:
         raise ModelError(f"genus must be nonnegative, got {g}")
     return BranchedSurfaceModel(

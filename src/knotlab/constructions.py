@@ -41,6 +41,8 @@ class TwoBridgeFraction(namedtuple("TwoBridgeFraction", "p q")):
     _make = _validated_make
 
     def __new__(cls, p, q):
+        _check_int(p, "fraction numerator")
+        _check_int(q, "fraction denominator")
         if p < 1 or not 0 <= q < max(p, 2):
             raise ConstructionError(f"fraction {p}/{q} out of range")
         if p > 1 and gcd(p, q) != 1:
@@ -67,6 +69,7 @@ def cf_to_fraction(cf):
 
     [2,4] -> 4 + 1/2 = 9/2.  Entries must be nonzero integers.
     """
+    _check_cf(cf)
     if not cf:
         raise ConstructionError("empty continued fraction")
     if any(c == 0 for c in cf):
@@ -93,6 +96,20 @@ def _check_size(total):
         raise ConstructionError(
             f"diagram of {total} crossings exceeds the limit of {MAX_CROSSINGS}"
         )
+
+
+# A float or a str would fail deep in the tangle algebra, and True would
+# build a one-crossing twist region, so an integer parameter is checked first.
+def _check_int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConstructionError(f"{what} must be an int, not {value!r}")
+
+
+def _check_cf(cf):
+    if not isinstance(cf, list):
+        raise ConstructionError(f"continued fraction must be a list of ints, not {cf!r}")
+    for c in cf:
+        _check_int(c, "continued fraction entry")
 
 
 def _join(g, a, b):
@@ -161,6 +178,7 @@ def rational_knot(cf):
     top and bottom; an even-length chain ends on a vertical region, leaving
     the tangle fraction inverted, so it closes across the sides instead.
     """
+    _check_cf(cf)
     _check_size(sum(abs(c) for c in cf))  # its exact crossing count, before the continuant
     frac = cf_to_fraction(cf)
     if frac.p % 2 == 0:
@@ -176,6 +194,7 @@ def rational_knot(cf):
 
 def twist_knot(c):
     """The c-crossing twist knot, c even and at least 4: rational [2, c-2]."""
+    _check_int(c, "twist knot crossing count")
     if c % 2 or c < 4:
         raise ConstructionError(f"twist knot needs even c >= 4, got {c}")
     return rational_knot([2, c - 2])
@@ -183,6 +202,7 @@ def twist_knot(c):
 
 def torus_2n(n):
     """Closed 2-braid with |n| crossings of sign(n); n odd for a knot."""
+    _check_int(n, "closed braid crossing count")
     if n % 2 == 0:
         raise ConstructionError(f"(2,{n}) closed braid is a 2-component link")
     g = StrandGraph()
@@ -191,6 +211,8 @@ def torus_2n(n):
 
 def pretzel(p, q, r):
     """Three-column pretzel diagram; columns are vertical twist regions."""
+    for entry in (p, q, r):
+        _check_int(entry, "pretzel column")
     if 0 in (p, q, r):
         raise ConstructionError("zero pretzel column")
     g = StrandGraph()
@@ -245,6 +267,7 @@ def _doubled_with_gap(pd):
 def cable2(pd, f):
     """(2,f)-cable of the companion: 2-parallel plus f - 2*writhe half-twists."""
     _require_knot(pd)
+    _check_int(f, "cable parameter f")
     if f % 2 == 0:
         raise ConstructionError(f"(2,{f}) cable is a 2-component link; f must be odd")
     j = f - 2 * writhe(pd)  # odd, so the cut always gets a twist region
@@ -267,6 +290,8 @@ class DoubleSpec(namedtuple("DoubleSpec", "companion twists clasp")):
     _make = _validated_make
 
     def __new__(cls, companion, twists, clasp):
+        _check_int(twists, "twists")
+        _check_int(clasp, "clasp")
         if clasp not in (1, -1):
             raise ConstructionError(f"clasp must be +1 or -1, got {clasp}")
         return super().__new__(cls, companion, twists, clasp)
@@ -287,6 +312,7 @@ def paper_family(n):
     Returns (diagram, expected_name); the diagram's invariant tuple matches
     twist_knot(2n+6), the (2n+6)-crossing twist knot.
     """
+    _check_int(n, "family index")
     if n < 0:
         raise ConstructionError(f"family index must be >= 0, got {n}")
     companion = torus_2n(1)

@@ -147,7 +147,7 @@ def parse_pd(text):
 
 def serialize_pd(pd):
     """Canonical PD text: crossings in input order, LF line endings."""
-    return "".join(f"X {x.a},{x.b},{x.c},{x.d}\n" for x in pd.crossings)
+    return "".join(f"X {x.a},{x.b},{x.c},{x.d}\n" for x in _diagram(pd).crossings)
 
 
 def _occurrences(pd):
@@ -383,8 +383,16 @@ def _res(pd):
     return _resolve(pd)
 
 
+def _diagram(pd):
+    """pd, refused unless it is a PlanarDiagram: the resolve cache hashes its
+    argument, so anything else would fail there with a stray TypeError."""
+    if not isinstance(pd, PlanarDiagram):
+        raise ValidationError(f"expected a PlanarDiagram, not {type(pd).__name__}")
+    return pd
+
+
 def _valid(pd):
-    rr = _res(pd)
+    rr = _res(_diagram(pd))
     if not rr.ok:
         raise ValidationError("; ".join(rr.failures))
     return rr
@@ -398,7 +406,7 @@ def _require_knot(pd):
 
 
 def validate(pd):
-    rr = _res(pd)
+    rr = _res(_diagram(pd))
     return ValidationReport(
         ok=rr.ok,
         failures=rr.failures,

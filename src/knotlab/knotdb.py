@@ -174,9 +174,15 @@ def identify(pd, table):
     report = validate(pd)
     if not report.ok:
         raise TableError(f"cannot identify an invalid diagram: {report.failures[0]}")
+    try:
+        records = tuple(table)
+    except TypeError:
+        records = None
+    if records is None or not all(isinstance(rec, KnotRecord) for rec in records):
+        raise TableError(f"a table is a sequence of KnotRecords, not {type(table).__name__}")
     tup = invariant_tuple(pd)
     matches = []
-    for rec in table:
+    for rec in records:
         ri = rec.invariants
         if (
             tup.alexander == ri.alexander

@@ -3,22 +3,17 @@
 Moves are enumerated as deterministic candidate lists per kind ("r1+", "r1-",
 "r2+", "r2-", "r3") and applied to a StrandGraph.  Every listed site is viable:
 a removal site is kept only when its splice would strand no crossingless loop.
-A kink is judged by its node's wiring, and a bigon by probing its splice with
-``StrandGraph.splice_pairs``.
 ``apply_move`` re-traces and re-validates the diagram after its move, and a
 random perturbation validates its input and its output, so a wiring mistake
 surfaces before it can corrupt downstream invariants.
 
-A random move picks a kind uniformly among the kinds that have sites, then a
-site uniformly in that kind's deterministic candidate order.  The faces are
-walked once per graph state (``StrandGraph.face_walk`` remembers the walk
-until the next mutation), and one sweep over that walk's faces serves every
-kind: it lists the r1-, r2- and r3 sites and counts the r2+ sites from the
-face sizes and the walk's count of wires with one face on both sides.  An
-explicit r1+ or r2+ move needs no removal probes and skips the sweep.  r1+
-and r2+ sites, the many, are counted and only the drawn one is built; it is
-the site ``move_candidates`` lists at the drawn index, so the listed and the
-drawn sites are the same.
+``_sweep(g, kinds)`` is the one source of sites.  For each asked kind it gives
+the number of sites and the site at an index, in ``move_candidates`` order.
+r1+ and r2+ sites, the many, are counted and only the drawn one is built.
+The r1-, r2- and r3 sites come from one pass over the faces (walked once per
+graph state), which runs only when a removal kind is asked for.  A random move
+picks a kind uniformly among the kinds that have sites, then a site uniformly
+in that kind's order.
 
 Ports are the ints 4 * node + slot of ``knotlab.wiring``, so a port's level
 is its parity (odd ports carry the over-strand) and p ^ 2 is the port across
@@ -88,8 +83,8 @@ def _apply_r1_add(g, site):
     g.connect(k + exit_, b)
 
 
-def _apply_r1_remove(g, site):
-    g.splice_out({site[0] >> 2})
+def _apply_removal(g, site):  # r1- or r2-: a kink's wire has both ends on its one node
+    g.splice_out({site[0] >> 2, site[1] >> 2})
 
 
 def _r2_add_sites(g, skip=0):
@@ -144,11 +139,6 @@ def _apply_r2_add(g, site):
     g.connect(c2 + v, delta)
 
 
-def _apply_r2_remove(g, site):
-    h1, h2 = site
-    g.splice_out({h1 >> 2, h2 >> 2})
-
-
 def _apply_r3(g, site):
     rho = {}
     for h in site:
@@ -164,26 +154,35 @@ def _apply_r3(g, site):
 
 _APPLY = {
     "r1+": _apply_r1_add,
-    "r1-": _apply_r1_remove,
+    "r1-": _apply_removal,
     "r2+": _apply_r2_add,
-    "r2-": _apply_r2_remove,
+    "r2-": _apply_removal,
     "r3": _apply_r3,
 }
 
 
-def _sweep(g):
-    """Every kind's (number of sites, site at an index) from one pass over
-    the faces of g's current walk, as a dict by kind.
+def _sweep(g, kinds=MOVE_KINDS):
+    """Each asked kind's (number of sites, site at an index), as a dict by kind.
 
-    The pass lists the r1- sites (monogons), r2- sites (bigons) and r3 sites
-    (triangles), each sorted, and counts the pairs of sides of one face that
-    the r2+ sites are made from.  A kink is judged by its node's wiring: its
-    splice strands a loop exactly when the node's other two ports are wired
-    to each other, the one-crossing figure eight.  A bigon is probed with
-    ``StrandGraph.splice_pairs``.  r1+ and r2+ sites, the many, are built
-    only when asked for.
+    r1+ sites are counted from the wires, four variants per wire, and r2+
+    sites from the pairs of sides of one face: two variants per pair, less
+    the pairs that are one wire seen from both sides (a wire bounds one face
+    on both sides only in a rotation system that is not planar).  Only the
+    drawn site of either is built.  When a removal kind is asked for, one
+    pass over the faces of g's current walk also lists the r1- sites
+    (monogons), r2- sites (bigons) and r3 sites (triangles), each sorted.  A
+    kink is judged by its node's wiring: its splice strands a loop exactly
+    when the node's other two ports are wired to each other, the one-crossing
+    figure eight.  A bigon is probed with ``StrandGraph.splice_pairs``, so
+    an r1+ or r2+ alone makes no probe, and an r1+ alone walks no faces.
     """
-    faces = g.face_walk()[0]
+    sites = {}
+    if "r1+" in kinds:
+        sites["r1+"] = 2 * len(g.conn), lambda i: (g.wires()[i // 4], i % 4)
+    removals = "r1-" in kinds or "r2-" in kinds or "r3" in kinds
+    if not removals and "r2+" not in kinds:
+        return sites
+    faces, _, same_wire = g.face_walk()
     conn = g.conn
     bigons = len(g.nodes) >= 3  # an r2- must leave at least one crossing
     r1, r2, r3 = [], [], []
@@ -191,6 +190,8 @@ def _sweep(g):
     for face in faces:
         m = len(face)
         pairs += m * (m - 1) // 2
+        if not removals:
+            continue
         if m == 1:
             h = face[0]  # a kink is a monogon: h wired to the next slot of its node
             if conn[h ^ 2] >> 2 != h >> 2:  # the node's other two ports are not wired together
@@ -214,46 +215,26 @@ def _sweep(g):
                     r3.append((h2, h3, h1))
                 else:
                     r3.append((h3, h1, h2))
-    r1.sort()
-    r2.sort()
-    r3.sort()
-    return {
-        "r1+": _counted_sites(g, "r1+"),
-        "r1-": (len(r1), r1.__getitem__),
-        "r2+": _r2_add_counted(g, pairs),
-        "r2-": (len(r2), r2.__getitem__),
-        "r3": (len(r3), r3.__getitem__),
-    }
-
-
-def _r2_add_counted(g, pairs):
-    """(number of r2+ sites, site at an index), given the number of pairs of
-    sides of one face in g's walk: two variants per pair, less the pairs that
-    are one wire seen from both sides (a wire bounds one face on both sides
-    only in a rotation system that is not planar)."""
-    return 2 * (pairs - g.face_walk()[2]), lambda i: next(_r2_add_sites(g, i))
-
-
-def _counted_sites(g, kind):
-    """(number of sites, site at an index) of one kind, as move_candidates
-    lists them.  r1+ and r2+ need no removal probes, so only the other kinds
-    run the sweep."""
-    if kind == "r1+":
-        return 2 * len(g.conn), lambda i: (g.wires()[i // 4], i % 4)
-    if kind == "r2+":
-        return _r2_add_counted(g, sum(len(f) * (len(f) - 1) // 2 for f in g.face_walk()[0]))
-    if kind not in MOVE_KINDS:
-        raise MoveError(f"unknown move kind {kind!r}")
-    return _sweep(g)[kind]
+    if "r2+" in kinds:
+        sites["r2+"] = 2 * (pairs - same_wire), lambda i: next(_r2_add_sites(g, i))
+    if removals:
+        for kind, found in (("r1-", r1), ("r2-", r2), ("r3", r3)):
+            found.sort()
+            sites[kind] = len(found), found.__getitem__
+    return sites
 
 
 def move_candidates(g, kind):
-    """Viable move sites of one kind, in deterministic order."""
+    """Viable move sites of one kind, in deterministic order: every site
+    ``_sweep`` picks from, in its order.  r1+ and r2+ are listed in one
+    pass each, not picked site by site."""
+    if kind not in MOVE_KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
     if kind == "r1+":
         return [(w, v) for w in g.wires() for v in range(4)]
     if kind == "r2+":
         return list(_r2_add_sites(g))
-    n, pick = _counted_sites(g, kind)
+    n, pick = _sweep(g, (kind,))[kind]
     return [pick(i) for i in range(n)]
 
 
@@ -265,9 +246,11 @@ def apply_move(g, kind, index=0):
     """Apply the index-th candidate of the given kind in place."""
     if not _is_non_negative_int(index):
         raise MoveError(f"move site index must be a non-negative integer, not {index!r}")
+    if kind not in MOVE_KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
     if kind in _ADDED and len(g.nodes) + _ADDED[kind] > MAX_CROSSINGS:
         raise MoveError(f"{kind} would pass the limit of {MAX_CROSSINGS} crossings")
-    n, pick = _counted_sites(g, kind)
+    n, pick = _sweep(g, (kind,))[kind]
     if index >= n:
         raise MoveError(f"no {kind} move at site index {index}")
     _APPLY[kind](g, pick(index))

@@ -16,7 +16,7 @@ reused, so ``compact`` renumbers them in order once most ids are unused.
 
 from __future__ import annotations
 
-from .diagram import Crossing, PlanarDiagram, KnotlabError, _face_orbits, _occurrences
+from .diagram import Crossing, PlanarDiagram, KnotlabError, _diagram, _face_orbits, _occurrences
 
 
 class WiringError(KnotlabError):
@@ -159,7 +159,7 @@ class StrandGraph:
     @classmethod
     def from_diagram(cls, pd):
         g = cls()
-        for _ in pd.crossings:
+        for _ in _diagram(pd).crossings:
             g.add_node()
         for lab, pair in _occurrences(pd).items():
             if len(pair) != 2:

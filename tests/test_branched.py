@@ -241,6 +241,26 @@ def test_model_validation_errors():
             BranchedSurfaceModel(sectors, curves, boundary, disks)
 
 
+def test_counts_that_are_not_ints_are_refused():
+    """int() would truncate a fractional genus into a model no surface has
+    (sector chi -4 with boundary genus 2) and then certify it, so every count
+    is taken as given and refused unless it is an int."""
+    for g in (1.5, "1", True):
+        with pytest.raises(ModelError, match="genus must be an int"):
+            build_bf(g)
+    for chi in ("1", -3.0, False):
+        with pytest.raises(ModelError, match="sector A: chi must be an int"):
+            BranchedSurfaceModel([("A", chi)], [], [], [])
+    with pytest.raises(ModelError, match="F: genus must be an int"):
+        BranchedSurfaceModel([("A", -1)], [], [("F", 1.0, 1)], [])
+    with pytest.raises(ModelError, match="F: circle count must be an int"):
+        BranchedSurfaceModel([("A", -1)], [], [("F", 1, "1")], [])
+    with pytest.raises(ModelError, match="c: self-intersection count must be an int"):
+        BranchCurve("c", "A", ("A", "A"), 0.0, ("same", "same"))
+    with pytest.raises(ModelError, match="sector S0: chi must be an int"):
+        build_bf(1)._replace(sectors=[("S0", -3.5)])
+
+
 def test_elimination_bound_is_a_domain_error(capsys, tmp_path):
     from knotlab.cli import main
 

@@ -120,6 +120,23 @@ def table_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def _cli_report(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    assert rc in (0, 1)
+    assert out.getvalue().endswith("status ok\n" if rc == 0 else "status error\n")
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table_texts())
+def test_fuzz_table_file_cli(tmp_path, text):
+    table = tmp_path / "fuzz.table"
+    table.write_text(text, encoding="utf-8")
+    pd = tmp_path / "trefoil.pd"
+    pd.write_text(KNOWN_PD[0], encoding="utf-8")
+    _cli_report(["identify", "--table", str(table), str(pd)])
+
+
 @settings(max_examples=100)
 @given(table_texts())
 def test_fuzz_table_text(text):
@@ -172,3 +189,11 @@ def test_fuzz_model_text(text, incompressible):
     except KnotlabError:
         return
     assert cert.verdict in ("persistently-laminar", "essential-only-unknown", "fails")
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model_texts())
+def test_fuzz_model_file_cli(tmp_path, text):
+    model = tmp_path / "fuzz.model"
+    model.write_text(text, encoding="utf-8")
+    _cli_report(["bf", "--model", str(model), "--certified"])

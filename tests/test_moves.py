@@ -20,7 +20,6 @@ from knotlab.knotdb import bundled_table
 from knotlab.moves import (
     MOVE_KINDS,
     MoveError,
-    _counted_sites,
     _r2_add_sites,
     _spliceable,
     _sweep,
@@ -264,6 +263,28 @@ def test_perturbation_stays_within_the_crossing_limit():
         apply_move(g, "r1+", 0)
 
 
+def test_explicit_additions_make_no_removal_probe(monkeypatch):
+    """An explicit r1+ or r2+ move asks for its own kind's sites only, so it
+    probes no bigon with splice_pairs; an r2- probes its bigons, then
+    splices one out."""
+    calls = []
+    splice_pairs = StrandGraph.splice_pairs
+
+    def counted(g, removed):
+        calls.append(set(removed))
+        return splice_pairs(g, removed)
+
+    monkeypatch.setattr(StrandGraph, "splice_pairs", counted)
+    for rec in bundled_table():
+        g = StrandGraph.from_diagram(rec.pd)
+        for kind, index in (("r1+", 0), ("r1+", 5), ("r2+", 0), ("r2+", 7)):
+            apply_move(g, kind, index)
+        assert calls == [], rec.name
+        apply_move(g, "r2-", 0)
+        assert len(calls) >= 2, rec.name  # at least one probe, and the splice
+        calls.clear()
+
+
 def test_counted_sites_match_the_candidate_lists():
     # a planar diagram has no wire with one face on both sides; this torus-like
     # rotation system has two, so the skipped same-wire pairs are counted too
@@ -275,7 +296,7 @@ def test_counted_sites_match_the_candidate_lists():
         g = StrandGraph.from_diagram(pd)
         for kind in MOVE_KINDS:
             sites = move_candidates(g, kind)
-            n, pick = _counted_sites(g, kind)
+            n, pick = _sweep(g, (kind,))[kind]
             assert n == len(sites), (kind, pd)
             assert [pick(i) for i in range(n)] == sites, (kind, pd)
         r2_add = move_candidates(g, "r2+")
@@ -360,8 +381,8 @@ def test_one_sweep_matches_the_per_kind_loops():
             seen[kind] += len(want)
         kinks += sum(len(face) == 1 for face in g.faces())
         r2_add = _loop_r2_add_count(g)
-        assert swept["r2+"][0] == _counted_sites(g, "r2+")[0] == r2_add, where
-        assert swept["r1+"][0] == _counted_sites(g, "r1+")[0], where
+        assert swept["r2+"][0] == _sweep(g, ("r2+",))["r2+"][0] == r2_add, where
+        assert swept["r1+"][0] == _sweep(g, ("r1+",))["r1+"][0], where
     assert all(seen.values()), seen
     assert 0 < seen["r1-"] < kinks  # some kinks are viable and some are refused
 

@@ -123,7 +123,7 @@ def test_records_normalise_and_validate_their_fields():
     assert curve.sheet_sides == ("S0", "S0") and curve.orientation_relation == ("same", "opposite")
     with pytest.raises(ModelError, match="relations must be 'same' or 'opposite'"):
         BranchCurve("G", "S0", ("S0", "S0"), 0, ("same", "flipped"))
-    model = BranchedSurfaceModel([["S0", "-3"]], [CURVE], [["F+", "2", "1"], ["F-", 2, 1]],
+    model = BranchedSurfaceModel([["S0", -3]], [CURVE], [["F+", 2, 1], ["F-", 2, 1]],
                                  [["D+", "F+"], ["D-", "F-"]])
     assert model == BranchedSurfaceModel(*RECORDS[BranchedSurfaceModel][1])
     with pytest.raises(ConstructionError, match="fraction 4/2 not reduced"):
@@ -163,7 +163,7 @@ def test_replace_normalises():
     curve = CURVE._replace(sheet_sides=["S0", "S0"], orientation_relation=["same", "opposite"])
     assert curve.sheet_sides == ("S0", "S0") and curve.orientation_relation == ("same", "opposite")
     model, _ = _make(BranchedSurfaceModel)
-    assert model._replace(sectors=[["S0", "-3"]]) == model
+    assert model._replace(sectors=[["S0", -3]]) == model
     assert TwoBridgeFraction(5, 2)._replace(q=3) == TwoBridgeFraction(5, 3)
 
 
