@@ -168,8 +168,6 @@ def _feasible_positive(rows, n):
     multiplies rows by positive integers and adds them, so no step divides.
     Raises ModelError when an elimination step would exceed MAX_INEQUALITIES.
     """
-    if n == 0:
-        return False
     ineqs = []
     for r in rows:
         ineqs.append(r + [0])
@@ -316,6 +314,8 @@ def serialize_model(model):
 
 
 def parse_model(text):
+    if not isinstance(text, str):
+        raise ModelError(f"model text must be a str, not {type(text).__name__}")
     sectors, curves, boundary, disks = [], [], [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -58,10 +58,8 @@ class TwoBridgeFraction(namedtuple("TwoBridgeFraction", "p q")):
 
     def _class(self, mirrored=False):
         q = (self.p - self.q) % self.p if mirrored else self.q
-        members = {q}
-        if gcd(q, self.p) == 1:
-            members.add(pow(q, -1, self.p))
-        return frozenset(members)
+        # reduced, so q and p - q are units mod p; for p = 1, pow(0, -1, 1) is 0
+        return frozenset((q, pow(q, -1, self.p)))
 
 
 def cf_to_fraction(cf):

@@ -122,6 +122,8 @@ MAX_CROSSINGS = 10_000
 
 def parse_pd(text):
     """Parse PD text: one `X a,b,c,d` per line, `#` comments, blank lines ignored."""
+    if not isinstance(text, str):
+        raise ParseError(f"PD text must be a str, not {type(text).__name__}")
     crossings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,10 +156,7 @@ def _occurrences(pd):
     """Edge label -> [port, ...], ports 4 * crossing + slot in increasing order."""
     occ = {}
     for p, lab in enumerate(chain.from_iterable(pd.crossings)):
-        if lab in occ:
-            occ[lab].append(p)
-        else:
-            occ[lab] = [p]
+        occ.setdefault(lab, []).append(p)
     return occ
 
 
@@ -187,11 +186,13 @@ def _face_orbits(partner, nodes):
     its other end e and turn to the clockwise-adjacent slot of e's node,
     (e & ~3) | ((e - 1) & 3).
 
-    Returns (faces, face_of, same): the faces as tuples of ports, each entered
-    at its first port in node then slot order; face_of, the list indexed by
-    port that holds each port's face, and -1 at the ports of nodes not in
-    `nodes`; and the number of wires with the same face on both sides.
-    Raises KeyError on a port a dict pairing leaves unwired.
+    Returns (faces, face_of, same): the faces as tuples of ports; face_of,
+    the list indexed by port that holds each port's face, and -1 at the ports
+    of nodes not in `nodes`; and the number of wires with the same face on
+    both sides.  Raises KeyError on a port a dict pairing leaves unwired.
+    With `nodes` increasing, as every caller passes them, each face starts at
+    its least port and the faces come in increasing order of that port;
+    ``moves._sweep`` relies on both to build its site lists sorted.
     """
     faces = []
     face_of = [-1] * (4 * nodes[-1] + 4 if nodes else 0)

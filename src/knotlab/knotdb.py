@@ -103,6 +103,8 @@ def _parse_block(block):
 
 
 def parse_table(text):
+    if not isinstance(text, str):
+        raise TableError(f"table text must be a str, not {type(text).__name__}")
     kept = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
     stripped = "\n".join(kept).strip()
     if not stripped:

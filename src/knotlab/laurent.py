@@ -136,8 +136,6 @@ class LaurentPoly:
             return LaurentPoly()
         num = list(self.coeffs)
         den = other.coeffs
-        if len(num) < len(den):
-            raise ArithmeticError("inexact Laurent division")
         qlen = len(num) - len(den) + 1
         q = [0] * qlen
         lead = den[-1]
@@ -158,8 +156,6 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Evaluate at an integer or Fraction x (x != 0 if offset < 0)."""
-        if not self.coeffs:
-            return 0
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -17,13 +17,13 @@ in that kind's order.
 
 Ports are the ints 4 * node + slot of ``knotlab.wiring``, so a port's level
 is its parity (odd ports carry the over-strand) and p ^ 2 is the port across
-its node.  The sites ``move_candidates`` lists, each kind sorted by its ports:
+its node.  The sites ``move_candidates`` lists, each kind's list sorted:
 
 * r1+  ``((u, v), variant)``: a wire u < v and one of four variants 0..3.
 * r1-  ``(h, e)``: a kink's wire, h the one port of its monogon face and
   e = h's node's next slot, the port h is wired to.
-* r2+  ``(h1, h2, variant)``: two sides of one face, h1 < h2, and "over" or
-  "under".
+* r2+  ``(h1, h2, variant)``: two sides of one face, h2 after h1 in the
+  face's walk (not always h2 > h1), and "over" or "under".
 * r2-  ``(h1, h2)``: the two ports of a bigon face, h1 < h2.
 * r3   ``(h1, h2, h3)``: the three ports of a triangle face in face order,
   starting at the least.
@@ -170,11 +170,13 @@ def _sweep(g, kinds=MOVE_KINDS):
     on both sides only in a rotation system that is not planar).  Only the
     drawn site of either is built.  When a removal kind is asked for, one
     pass over the faces of g's current walk also lists the r1- sites
-    (monogons), r2- sites (bigons) and r3 sites (triangles), each sorted.  A
-    kink is judged by its node's wiring: its splice strands a loop exactly
-    when the node's other two ports are wired to each other, the one-crossing
-    figure eight.  A bigon is probed with ``StrandGraph.splice_pairs``, so
-    an r1+ or r2+ alone makes no probe, and an r1+ alone walks no faces.
+    (monogons), r2- sites (bigons) and r3 sites (triangles) in face order,
+    which is sorted: ``diagram._face_orbits`` starts every face at its least
+    port and lists the faces by that port.  A kink is judged by its node's
+    wiring: its splice strands a loop exactly when the node's other two ports
+    are wired to each other, the one-crossing figure eight.  A bigon is
+    probed with ``StrandGraph.splice_pairs``, so an r1+ or r2+ alone makes no
+    probe, and an r1+ alone walks no faces.
     """
     sites = {}
     if "r1+" in kinds:
@@ -198,8 +200,6 @@ def _sweep(g, kinds=MOVE_KINDS):
                 r1.append((h, conn[h]))
         elif m == 2:
             h1, h2 = face
-            if h1 > h2:
-                h1, h2 = h2, h1
             n1, n2 = h1 >> 2, h2 >> 2
             # the strand must keep its level across the bigon
             if bigons and n1 != n2 and not (h1 ^ conn[h1]) & 1 and _spliceable(g, {n1, n2}):
@@ -209,17 +209,11 @@ def _sweep(g, kinds=MOVE_KINDS):
             n1, n2, n3 = h1 >> 2, h2 >> 2, h3 >> 2
             # three crossings, and not cyclic: some strand runs over both of its
             if n1 != n2 != n3 != n1 and (h1 & conn[h1] | h2 & conn[h2] | h3 & conn[h3]) & 1:
-                if h1 < h2 and h1 < h3:
-                    r3.append(face)
-                elif h2 < h3:
-                    r3.append((h2, h3, h1))
-                else:
-                    r3.append((h3, h1, h2))
+                r3.append(face)
     if "r2+" in kinds:
         sites["r2+"] = 2 * (pairs - same_wire), lambda i: next(_r2_add_sites(g, i))
     if removals:
         for kind, found in (("r1-", r1), ("r2-", r2), ("r3", r3)):
-            found.sort()
             sites[kind] = len(found), found.__getitem__
     return sites
 

@@ -46,7 +46,7 @@ class StrandGraph:
     def connect(self, u, v):
         for port in (u, v):
             if port.__class__ is not int or port < 0:
-                _check_port(port)
+                raise _malformed(port)
             if port >> 2 not in self.nodes:
                 raise WiringError(f"no port {_named(port)} in the graph")
         if u == v:
@@ -59,7 +59,7 @@ class StrandGraph:
 
     def disconnect(self, u):
         if u.__class__ is not int or u < 0:
-            _check_port(u)
+            raise _malformed(u)
         if u not in self.conn:
             raise WiringError(f"port {_named(u)} is not wired")
         v = self.conn.pop(u)
@@ -96,12 +96,7 @@ class StrandGraph:
 
     def wires(self):
         """Deterministic list of wires as ordered port pairs (u < v)."""
-        out = []
-        for u, v in self.conn.items():
-            if u < v:
-                out.append((u, v))
-        out.sort()
-        return out
+        return sorted([(u, v) for u, v in self.conn.items() if u < v])
 
     def splice_pairs(self, removed):
         """Outside port pairs to wire together once the node set is deleted.
@@ -215,6 +210,5 @@ def _named(port):
     return f"{port} (node {port >> 2}, slot {port & 3})"
 
 
-def _check_port(port):
-    if port.__class__ is not int or port < 0:
-        raise WiringError(f"malformed port {port!r}: a port is a non-negative int 4 * node + slot")
+def _malformed(port):
+    return WiringError(f"malformed port {port!r}: a port is a non-negative int 4 * node + slot")

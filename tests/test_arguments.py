@@ -1,13 +1,13 @@
 """Public entry points refuse a bad argument with their module's KnotlabError.
 
-A float, a str or a bool where a count belongs, or something other than a
-diagram or a table, must not leak a TypeError or an AttributeError from deep
+A float, a str or a bool where a count belongs, something other than a
+diagram or a table, or text that is not a str must not leak a TypeError or an AttributeError from deep
 inside the computation, and must not be truncated into a valid-looking result.
 """
 
 import pytest
 
-from knotlab.branched import ModelError, build_bf
+from knotlab.branched import ModelError, build_bf, parse_model
 from knotlab.constructions import (
     ConstructionError,
     DoubleSpec,
@@ -20,9 +20,9 @@ from knotlab.constructions import (
     torus_2n,
     twist_knot,
 )
-from knotlab.diagram import KnotlabError, ValidationError, parse_pd
+from knotlab.diagram import KnotlabError, ParseError, ValidationError, parse_pd
 from knotlab.invariants import invariant_tuple
-from knotlab.knotdb import TableError, identify
+from knotlab.knotdb import TableError, identify, parse_table
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
 
@@ -47,6 +47,16 @@ REFUSED = [
     ("cf_to_fraction(5)", lambda: cf_to_fraction(5), ConstructionError),
     ("TwoBridgeFraction(5.0, 2)", lambda: TwoBridgeFraction(5.0, 2), ConstructionError),
     ("DoubleSpec(pd, 2, True)", lambda: DoubleSpec(TREFOIL, 2, True), ConstructionError),
+    # the text parsers take a str, and nothing else
+    ("parse_pd(5)", lambda: parse_pd(5), ParseError),
+    ("parse_pd(None)", lambda: parse_pd(None), ParseError),
+    ("parse_pd(b'X 1,2,2,1')", lambda: parse_pd(b"X 1,2,2,1"), ParseError),
+    ("parse_model(5)", lambda: parse_model(5), ModelError),
+    ("parse_model(None)", lambda: parse_model(None), ModelError),
+    ("parse_model(b'sector S0 -1')", lambda: parse_model(b"sector S0 -1"), ModelError),
+    ("parse_table(5)", lambda: parse_table(5), TableError),
+    ("parse_table(None)", lambda: parse_table(None), TableError),
+    ("parse_table(b'name 3_1')", lambda: parse_table(b"name 3_1"), TableError),
 ]
 
 

@@ -306,6 +306,12 @@ def test_empty_continued_fraction_exits_1(capsys):
         assert out == "command construct\nerror empty continued fraction\nstatus error\n", cf
 
 
+def test_bad_continued_fraction_exits_1(capsys):
+    rc, out = run(capsys, ["construct", "rational", "--cf", "2 x"])
+    assert rc == 1
+    assert out == "command construct\nerror bad continued fraction '2 x'\nstatus error\n"
+
+
 def test_pd_text_size_cap_exits_1(capsys, monkeypatch):
     text = serialize_pd(rational_knot([2, 9998])) + "X 1,2,3,4\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

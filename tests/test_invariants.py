@@ -283,6 +283,29 @@ def test_signature_mod_4_check_is_live(monkeypatch):
             invariant_tuple(pd)
 
 
+def _signature_one_higher(rows):
+    sig, det = symmetric_signature(rows)
+    return sig + 1, det
+
+
+@pytest.mark.parametrize(
+    "name, patched, message",
+    [
+        ("det_laurent", lambda rows: LaurentPoly([1, 1]), r"^Alexander\(1\) = 2, expected \+-1$"),
+        ("det_laurent", lambda rows: LaurentPoly([2, -1]), r"^Alexander polynomial not palindromic"),
+        ("symmetric_signature", _signature_one_higher, r"^odd knot signature -1$"),
+    ],
+    ids=["alexander-at-one", "palindromy", "even-signature"],
+)
+def test_invariant_tuple_checks_are_live(monkeypatch, name, patched, message):
+    """Delta(1) = +-1, a palindromic Delta and an even signature each refuse
+    a tuple that breaks them."""
+    monkeypatch.setattr(invariants, name, patched)
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    with pytest.raises(InconsistencyError, match=message):
+        invariant_tuple(TREFOIL)
+
+
 def test_genus_lower_bound():
     assert genus_lower_bound(KINK) == 0
     assert genus_lower_bound(TREFOIL) == 1

@@ -143,6 +143,15 @@ def test_load_rejects_missing_fields_and_bad_flags():
         parse_table(good.replace("pd:\n", "pd:\n" + "X 1,1,2,2\n" * 10_001))
 
 
+def test_load_rejects_a_record_without_a_pd_block_or_with_a_link():
+    good = serialize_table(bundled_table()[:1])
+    head = good[: good.index("pd:\n")]
+    with pytest.raises(TableError, match="^record 3_1: missing pd block$"):
+        parse_table(head)
+    with pytest.raises(TableError, match="^record 3_1: diagram is a link, not a knot$"):
+        load_table(head + "pd:\nX 1,4,2,3\nX 3,2,4,1\n")
+
+
 def test_record_flag_validation():
     rec = bundled_table()[0]
     with pytest.raises(TableError):

@@ -98,6 +98,16 @@ def test_exact_div():
         LaurentPoly([1, 1]).exact_div(LaurentPoly([1, 1, 1]))
 
 
+def test_exact_div_refuses_a_remainder_and_a_zero_divisor():
+    one_plus_t, one_plus_2t = LaurentPoly([1, 1]), LaurentPoly([1, 2])
+    # a leading coefficient the divisor's does not divide, then a nonzero remainder
+    for num, den in ((one_plus_t, one_plus_2t), (one_plus_2t, one_plus_t)):
+        with pytest.raises(ArithmeticError, match="^inexact Laurent division$"):
+            num.exact_div(den)
+    with pytest.raises(ZeroDivisionError):
+        one_plus_t.exact_div(LaurentPoly())
+
+
 def _rand_int_matrix(rng, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 

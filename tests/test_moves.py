@@ -178,6 +178,13 @@ def test_apply_move_rejects_non_integer_index():
         apply_move(g, "r1+", "0")
 
 
+def test_apply_move_refuses_an_unknown_kind():
+    g = StrandGraph.from_diagram(TREFOIL)
+    with pytest.raises(MoveError, match=r"^unknown move kind 'r4'$"):
+        apply_move(g, "r4", 0)
+    assert len(g.to_diagram()) == 3
+
+
 def test_perturbation_rejects_negative_move_count():
     with pytest.raises(MoveError, match="-2"):
         reidemeister_perturb(TREFOIL, moves=-2)

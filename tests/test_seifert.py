@@ -4,7 +4,7 @@ import pytest
 
 from knotlab import invariants, seifert
 from knotlab.constructions import rational_knot, torus_2n
-from knotlab.diagram import InconsistencyError, ValidationError, is_alternating, parse_pd
+from knotlab.diagram import InconsistencyError, ValidationError, _orbits, is_alternating, parse_pd
 from knotlab.invariants import genus_lower_bound
 from knotlab.moves import reidemeister_perturb
 from knotlab.seifert import incompressibility_certificate, seifert_circles, seifert_genus
@@ -130,3 +130,29 @@ def test_signature_bound_check_is_live(monkeypatch):
         inflated[pd] = 2 * seifert_genus(pd) + 2
         with pytest.raises(InconsistencyError, match=r"\|signature\|/2 = \d+"):
             incompressibility_certificate(pd)
+
+
+def _one_circle_more(step, starts):
+    return [*_orbits(step, starts), ()]
+
+
+def _two_circles_more(step, starts):
+    return [*_orbits(step, starts), (), ()]
+
+
+@pytest.mark.parametrize(
+    "patched, message",
+    [
+        (_one_circle_more, r"^C - s \+ 1 is odd on a knot diagram$"),
+        (_two_circles_more, r"^Seifert graph of a connected diagram is split$"),
+    ],
+    ids=["parity", "connected"],
+)
+def test_seifert_circle_checks_are_live(monkeypatch, patched, message):
+    """A circle count that makes C - s + 1 odd, or circles that no crossing
+    joins to the rest, are refused."""
+    monkeypatch.setattr(seifert, "_orbits", patched)
+    monkeypatch.setattr(invariants, "_last", (None, None))
+    for pd in (TREFOIL, torus_2n(5), reidemeister_perturb(TREFOIL, moves=8, seed=3)):
+        with pytest.raises(InconsistencyError, match=message):
+            seifert_circles(pd)

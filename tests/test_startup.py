@@ -113,6 +113,23 @@ def test_lazy_names_resolve_to_their_modules():
         knotlab.torus
 
 
+# Wraps the package __getattr__ in a fresh interpreter, where no submodule is
+# yet an attribute of the package, and reads knotlab.moves through it.
+_LAZY_MODULE = """
+import sys
+import knotlab
+asked = []
+lazy = knotlab.__getattr__
+knotlab.__getattr__ = lambda name: asked.append(name) or lazy(name)
+moves = knotlab.moves
+print(asked, moves is sys.modules["knotlab.moves"], file=sys.stderr)
+"""
+
+
+def test_a_submodule_resolves_through_the_package_getattr():
+    assert _fresh(_LAZY_MODULE) == "['moves'] True"
+
+
 # Installs the benchmark's layer tracer before anything imports knotlab, as an
 # in-process benchmark run does, then counts the spans of one identification.
 _TRACED_IDENTIFY = f"""

@@ -1,15 +1,19 @@
 """Port-level strand graph: wiring discipline and diagram round-trips."""
 
+import random
 import re
 
 import pytest
 
-from knotlab.diagram import _face_orbits, faces, parse_pd, serialize_pd, validate
+from knotlab.diagram import _face_orbits, _valid, faces, mirror, parse_pd, serialize_pd, validate
 from knotlab.knotdb import bundled_table
 from knotlab.moves import apply_move, move_candidates, reidemeister_perturb
 from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
+HOPF = parse_pd("X 1,4,2,3\nX 3,2,4,1")
+# a chain of three rings
+THREE_CHAIN = parse_pd("X 1,3,2,4\nX 4,2,5,1\nX 7,5,8,6\nX 6,8,3,7")
 
 
 def _port(node, slot):
@@ -66,6 +70,11 @@ def test_from_to_diagram_round_trip():
         assert validate(out).ok == validate(pd).ok
         assert len(out) == len(pd)
         assert out == parse_pd(serialize_pd(out))
+
+
+def test_from_diagram_refuses_a_label_seen_once():
+    with pytest.raises(WiringError, match="^edge label 1 does not appear exactly twice$"):
+        StrandGraph.from_diagram(parse_pd("X 1,2,3,4"))
 
 
 def test_round_trip_is_stable():
@@ -236,3 +245,40 @@ def test_malformed_ports_are_refused():
             with pytest.raises(WiringError, match=r"malformed port " + re.escape(repr(port))):
                 call()
     assert g.conn == conn  # a refused port leaves the wiring as it was
+
+
+def _assert_faces_start_at_their_least_port(walked):
+    assert all(face[0] == min(face) for face in walked), walked
+    firsts = [face[0] for face in walked]
+    assert firsts == sorted(firsts), walked
+
+
+def test_faces_start_at_their_least_port():
+    """The order contract of diagram._face_orbits that moves._sweep builds its
+    sorted site lists on: each face starts at its least port, and the faces
+    come in increasing order of that port."""
+    diagrams = [rec.pd for rec in bundled_table()]
+    diagrams += [reidemeister_perturb(pd, moves=6, seed=s) for pd in diagrams for s in range(4)]
+    for link in (HOPF, mirror(HOPF), THREE_CHAIN):
+        diagrams.append(link)
+        diagrams += [reidemeister_perturb(link, moves=4 + s % 9, seed=s) for s in range(20)]
+    for pd in diagrams:
+        _assert_faces_start_at_their_least_port(_valid(pd).faces)
+        _assert_faces_start_at_their_least_port(StrandGraph.from_diagram(pd).face_walk()[0])
+
+    # graphs mid-rewrite, whose removed nodes leave gaps until compact() closes them
+    rng = random.Random(5)
+    gaps = renumbered = 0
+    for rec in bundled_table():
+        g = StrandGraph.from_diagram(rec.pd)
+        for kind in ("r1+", "r2+", "r1+", "r3", "r2-", "r1-", "r3", "r1-", "r2-", "r1-"):
+            sites = move_candidates(g, kind)
+            if sites:
+                apply_move(g, kind, rng.randrange(len(sites)))
+            _assert_faces_start_at_their_least_port(g.face_walk()[0])
+            gaps += max(g.nodes) >= len(g.nodes)
+        nodes = set(g.nodes)
+        g.compact()
+        renumbered += g.nodes != nodes
+        _assert_faces_start_at_their_least_port(g.face_walk()[0])
+    assert gaps and renumbered
