@@ -164,7 +164,8 @@ def _orbits(step, starts):
     """Cycles of the map `step`, each entered at its first element in `starts`.
 
     An orbit ends before the first element already traced, so on a
-    permutation every orbit closes on its start.
+    permutation every orbit closes on its start.  With `starts` increasing,
+    as every caller passes them, each such orbit starts at its least element.
     """
     seen = set()
     out = []
@@ -260,6 +261,8 @@ class _Resolved:
         "signs",
         "faces",
         "face_of_corner",  # list: corner 4 * crossing + k -> its face
+        "component_of",  # on a link, edge label -> its component; None on a knot
+        "phases",  # on a link, each component's checkerboard phase bit; None on a knot
     )
 
 
@@ -342,25 +345,28 @@ def _resolve(pd):
     r.over = over
     r.signs = [1 if o == (1, 3) else -1 for o in over]
 
-    # strand components; each must be a cyclic run lo, lo+1, ..., hi
+    # strand components, each entered at its least label; each must run lo, lo+1, ..., hi
     components = _orbits(succ, range(1, ne + 1))
     for cyc in components:
-        lo = min(cyc)
-        k = cyc.index(lo)
-        if cyc[k:] + cyc[:k] != tuple(range(lo, lo + len(cyc))):
-            failures.append(
-                f"edge labels do not increase by one along component containing {lo}"
-            )
+        if cyc != tuple(range(cyc[0], cyc[0] + len(cyc))):
+            lo = cyc[0]
+            failures.append(f"edge labels do not increase by one along component containing {lo}")
     r.components = components
 
-    # connectivity of the underlying 4-valent graph; one strand passes every
-    # crossing, so only a link can be split
+    # One strand passes every crossing of its component, so a link is connected
+    # exactly when its crossings join its components.  Each join carries the
+    # phase bit _colors reads; a join that disagrees is ignored, since the
+    # face check in _colors is the guard on the colors.
+    r.component_of = r.phases = None
     if len(components) > 1:
-        uf = _ParityUnionFind(n)
-        for u, v in occ.values():
-            uf.union(u >> 2, v >> 2)
+        comp = {e: k for k, cyc in enumerate(components) for e in cyc}
+        uf = _ParityUnionFind(len(components))
+        for x, (i, _) in zip(pd.crossings, over):
+            uf.union(comp[x[0]], comp[x[i]], (x[0] + x[i] + 1) & 1)
         if not uf.connected():
             failures.append("split diagram: underlying graph is disconnected")
+        r.component_of = comp
+        r.phases = [uf.find(k)[1] for k in range(len(components))]
 
     r.faces = ()
     r.face_of_corner = []
@@ -447,11 +453,6 @@ def faces(pd):
     return tuple(tuple(divmod(h, 4) for h in face) for face in _valid(pd).faces)
 
 
-def _component_of(rr):
-    """Edge label -> index of its component."""
-    return {e: k for k, cyc in enumerate(rr.components) for e in cyc}
-
-
 def _colors(pd, rr):
     """The checkerboard read from the labels: (per face, whether it is white;
     per crossing, whether its corner 0 is white).
@@ -460,32 +461,18 @@ def _colors(pd, rr):
     strand passes, and the labels rise by one per passage, so corner k of
     crossing c has the parity of a_c + k, a_c its incoming under label, plus
     a phase bit of a_c's component.  The face holding corner (0, 0) is white.
-    A link's phases come from the crossings between components: where the
-    under strand lies in component A and the incoming over label x in B,
+    A link's phases come from the resolver's joins of its components: where
+    the under strand lies in component A and the incoming over label x in B,
     phase(B) = phase(A) ^ ((a_c + x + 1) & 1), a term that is 0 within one
-    component.  Every face's corners must share one parity, or it raises
-    InconsistencyError.
+    component.  Flipping every phase gives the same colors.  Every face's
+    corners must share one parity, or it raises InconsistencyError.
     """
     xs = pd.crossings
-    if len(rr.components) == 1:
+    if rr.phases is None:
         par = [x[0] & 1 for x in xs]
     else:
-        comp = _component_of(rr)
-        links = [[] for _ in rr.components]
-        for x, (i, _) in zip(xs, rr.over):
-            a, b = comp[x[0]], comp[x[i]]
-            bit = (x[0] + x[i] + 1) & 1
-            links[a].append((b, bit))
-            links[b].append((a, bit))
-        phase = {comp[xs[0][0]]: 0}
-        stack = list(phase)
-        while stack:
-            a = stack.pop()
-            for b, bit in links[a]:
-                if b not in phase:
-                    phase[b] = phase[a] ^ bit
-                    stack.append(b)
-        par = [(x[0] + phase[comp[x[0]]]) & 1 for x in xs]
+        comp, phases = rr.component_of, rr.phases
+        par = [(x[0] + phases[comp[x[0]]]) & 1 for x in xs]
     white = par[0]
     face_white = []
     for face in rr.faces:
@@ -529,7 +516,7 @@ def is_alternating(pd):
     those entering from above all share the other.
     """
     rr = _valid(pd)
-    comp = _component_of(rr) if len(rr.components) > 1 else {}  # a knot's one key is None
+    comp = rr.component_of or {}  # a knot's one key is None
     parity = {}  # component -> parity of its under-head labels
     for x, (i, _) in zip(pd.crossings, rr.over):
         u, o = x[0], x[i]

@@ -8,6 +8,7 @@ distinct knots sharing a tuple are reported, never silently resolved.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from importlib import resources
 
@@ -137,19 +138,25 @@ def _fmt(tup):
 
 
 def load_table(source):
-    """Parse and revalidate a table from a path, file object, or text.
+    """Parse and revalidate a table from a file object, an os.PathLike, or a
+    str holding the table text or a path.
 
     Any failing record aborts the whole load with an error naming it.
     """
-    name = str(getattr(source, "name", source))
+    if hasattr(source, "read"):
+        name = str(getattr(source, "name", source))
+    elif isinstance(source, (str, os.PathLike)):
+        name = os.fspath(source)
+    else:
+        raise TableError(f"a table source is a file, a path or a str, not {type(source).__name__}")
     try:
         if hasattr(source, "read"):
             text = source.read()
+        elif isinstance(source, str) and ("\n" in source or source.lstrip().startswith("name ")):
+            text = source
         else:
-            text = str(source)
-            if "\n" not in text and not text.lstrip().startswith("name "):
-                with open(text, encoding="utf-8") as f:
-                    text = f.read()
+            with open(name, encoding="utf-8") as f:
+                text = f.read()
     except OSError as e:
         raise TableError(f"cannot read table {name!r}: {e.strerror or e}") from e
     except UnicodeError as e:

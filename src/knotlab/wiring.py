@@ -102,25 +102,33 @@ class StrandGraph:
         """Outside port pairs to wire together once the node set is deleted.
 
         Each strand entering the set is walked once, until it leaves.  Raises
-        WiringError if some port of the set is never walked: a strand that
+        WiringError on a node not in the graph or a port of the set left
+        unwired, and if some port of the set is never walked: a strand that
         never leaves the set would be orphaned as a crossingless loop.
         """
         conn = self.conn
         walked = set()
         pairs = []
-        for nid in removed:
-            for start in range(4 * nid, 4 * nid + 4):
-                outside = conn[start]
-                if start in walked or outside >> 2 in removed:
-                    continue
-                cur = start
-                while True:
-                    out_port = cur ^ 2
-                    walked.update((cur, out_port))
-                    cur = conn[out_port]
-                    if cur >> 2 not in removed:
-                        break
-                pairs.append((outside, cur))
+        try:
+            for nid in removed:
+                for start in range(4 * nid, 4 * nid + 4):
+                    outside = conn[start]
+                    if start in walked or outside >> 2 in removed:
+                        continue
+                    cur = start
+                    while True:
+                        out_port = cur ^ 2
+                        walked.update((cur, out_port))
+                        cur = conn[out_port]
+                        if cur >> 2 not in removed:
+                            break
+                    pairs.append((outside, cur))
+        except KeyError as e:
+            # caught, not checked first: moves._sweep probes every bigon here
+            port = e.args[0]
+            if port >> 2 not in self.nodes:
+                raise WiringError(f"no node {port >> 2} in the graph") from None
+            raise WiringError(f"port {_named(port)} is not wired") from None
         if len(walked) < 4 * len(removed):
             raise WiringError("splice would strand a crossingless component")
         return pairs

@@ -22,9 +22,18 @@ from knotlab.constructions import (
 )
 from knotlab.diagram import KnotlabError, ParseError, ValidationError, parse_pd
 from knotlab.invariants import invariant_tuple
-from knotlab.knotdb import TableError, identify, parse_table
+from knotlab.knotdb import TableError, identify, load_table, parse_table
+from knotlab.wiring import StrandGraph, WiringError
 
 TREFOIL = parse_pd("X 1,4,2,5\nX 3,6,4,1\nX 5,2,6,3")
+
+
+def _lone_node():
+    """A graph of one node with no wires."""
+    g = StrandGraph()
+    g.add_node()
+    return g
+
 
 # the call, and the KnotlabError subclass it must raise
 REFUSED = [
@@ -57,6 +66,15 @@ REFUSED = [
     ("parse_table(5)", lambda: parse_table(5), TableError),
     ("parse_table(None)", lambda: parse_table(None), TableError),
     ("parse_table(b'name 3_1')", lambda: parse_table(b"name 3_1"), TableError),
+    # a table source is a file object, a path or a str
+    ("load_table(b'name 3_1')", lambda: load_table(b"name 3_1\n"), TableError),
+    ("load_table(5)", lambda: load_table(5), TableError),
+    ("load_table(None)", lambda: load_table(None), TableError),
+    # a splice names nodes of the graph, with every port wired
+    ("splice_out({99})", lambda: StrandGraph.from_diagram(TREFOIL).splice_out({99}), WiringError),
+    ("splice_pairs({99})", lambda: StrandGraph.from_diagram(TREFOIL).splice_pairs({99}), WiringError),
+    ("splice_out(unwired)", lambda: _lone_node().splice_out({0}), WiringError),
+    ("splice_pairs(unwired)", lambda: _lone_node().splice_pairs({0}), WiringError),
 ]
 
 

@@ -2,10 +2,11 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from knotlab import constructions, diagram
+from knotlab import constructions, diagram, seifert
 from knotlab.diagram import (
     MAX_CROSSINGS,
     Crossing,
@@ -473,6 +474,92 @@ def test_face_color_cross_check_is_live(monkeypatch):
     for color in (None, "white", "black"):
         with pytest.raises(InconsistencyError, match="2-colorable"):
             _goeritz(pd, color)
+
+
+SPLIT = "split diagram: underlying graph is disconnected"
+# failures the resolver reports once strand orientations resolve
+_AFTER_ORIENTATION = ("edge labels do not increase", SPLIT, "rotation system is not planar")
+
+
+def _crossings_connected(pd):
+    """The reference split check: a union-find over the crossings, joined
+    along every edge."""
+    uf = _ParityUnionFind(len(pd))
+    for u, v in diagram._occurrences(pd).values():
+        uf.union(u >> 2, v >> 2)
+    return uf.connected()
+
+
+def _split_corpus():
+    """The coloring corpus; links and a three-chain beside loose components;
+    and seeded label shuffles of 2-5 crossings whose strand orientations
+    resolve, planar or not."""
+    yield from _coloring_corpus()
+    for text in (
+        HOPF + "\nX 5,6,6,5",
+        "X 1,2,2,1\nX 3,6,4,5\nX 5,4,6,3",  # a kink, then a Hopf link
+        THREE_CHAIN + "\nX 9,10,10,9",
+        KINK_CHAIN + "\nX 7,10,8,9\nX 9,8,10,7",
+        "X 1,2,2,1\nX 3,4,4,3\nX 5,6,6,5",
+    ):
+        yield repr(text), parse_pd(text)
+    rng = random.Random(33)
+    for k in range(6000):
+        n = rng.randint(2, 5)
+        labels = [e for e in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(labels)
+        pd = PlanarDiagram(tuple(labels[i : i + 4]) for i in range(0, 4 * n, 4))
+        if all(f.startswith(_AFTER_ORIENTATION) for f in validate(pd).failures):
+            yield f"shuffle {k}", pd
+
+
+def test_split_check_matches_a_crossing_union_find():
+    """The resolver joins a link's components at its crossings; that split
+    verdict must be the crossing graph's."""
+    seen = set()
+    for name, pd in _split_corpus():
+        connected, report = _crossings_connected(pd), validate(pd)
+        seen.add((connected, report.ok))
+        assert (SPLIT not in report.failures) == connected, name
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_resolved_phases_agree_with_every_crossing():
+    """Each crossing joins the components of its under label a and incoming
+    over label x with phase bit (a + x + 1) & 1; a knot has no phases."""
+    counts = set()
+    for name, pd in _coloring_corpus():
+        rr = _valid(pd)
+        counts.add(len(rr.components))
+        if len(rr.components) == 1:
+            assert rr.component_of is None and rr.phases is None, name
+            continue
+        comp, phases = rr.component_of, rr.phases
+        assert sorted(comp) == list(range(1, 2 * len(pd) + 1)), name
+        for x, (i, _) in zip(pd.crossings, rr.over):
+            assert phases[comp[x[0]]] ^ phases[comp[x[i]]] == (x[0] + x[i] + 1) & 1, name
+    assert counts == {1, 2, 3}
+
+
+def test_orbits_start_at_their_least_label(monkeypatch):
+    """Every strand component and every Seifert circle starts at its least
+    label, which the resolver's component check relies on."""
+    circles = []
+
+    def recording(step, starts):
+        orbits = diagram._orbits(step, starts)
+        circles.extend(orbits)
+        return orbits
+
+    monkeypatch.setattr(seifert, "_orbits", recording)
+    components = []
+    for _, pd in _coloring_corpus():
+        components += _valid(pd).components
+        if len(_valid(pd).components) == 1:
+            seifert_circles(pd)
+    assert circles
+    for orbit in components + circles:
+        assert orbit[0] == min(orbit), orbit
 
 
 def test_gauss_code_structure():

@@ -75,6 +75,16 @@ def test_load_table_from_path(tmp_path):
     assert load_table(str(path)) == bundled_table()
 
 
+def test_load_table_from_a_path_object(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(serialize_table(bundled_table()), encoding="utf-8")
+    assert load_table(path) == bundled_table()
+    missing = tmp_path / "nodir" / "missing.table"
+    with pytest.raises(TableError) as err:
+        load_table(missing)
+    assert repr(str(missing)) in str(err.value)
+
+
 def test_load_table_unreadable_path_is_a_table_error(tmp_path):
     for source in ("garbage", str(tmp_path / "missing.table"), str(tmp_path)):
         with pytest.raises(TableError) as err:
